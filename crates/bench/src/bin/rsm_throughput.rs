@@ -104,8 +104,7 @@ fn run_point(batch: usize, rounds: usize, pipeline: usize) -> Point {
     };
 
     // Warm-up rounds (buffers, allocator, branch predictors) — the
-    // metric is steady-state engine throughput, matching tcp_latency's
-    // warm-up discipline.
+    // metric is steady-state engine throughput.
     let mut warmup_cmds = 0u64;
     run_rounds(&mut kv, WARMUP_ROUNDS, &mut warmup_cmds);
 

@@ -1,7 +1,7 @@
 //! Real-sockets agreement **throughput** under round pipelining: how
 //! many rounds per second a loopback deployment agrees on as a function
-//! of the round window `W` — the closed-loop counterpart of
-//! `tcp_latency`'s per-round latency measurement.
+//! of the round window `W` (per-request latency over real sockets is
+//! `benchmark/run.sh`'s `latency_p50_us`).
 //!
 //! ```text
 //! cargo run --release -p allconcur-bench --bin tcp_rounds \

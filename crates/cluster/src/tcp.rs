@@ -1,18 +1,18 @@
 //! [`TcpTransport`] — the real-sockets backend of the
 //! [`crate::Transport`] contract.
 //!
-//! Wraps an [`allconcur_net::LocalCluster`] (one OS-thread runtime per
-//! server, loopback TCP for protocol messages, UDP heartbeats for the
-//! FD). Submission buffering lives in each node's runtime, so `submit`
-//! just forwards; `poll_delivery` round-robins the nodes' delivery
-//! channels.
+//! Wraps an [`allconcur_net::LocalCluster`] (every server a node on a
+//! shared pool of `min(cores, n)` epoll reactor threads, loopback TCP
+//! for protocol messages, UDP heartbeats for the FD). Submission
+//! buffering lives in each node's runtime, so `submit` just forwards;
+//! `poll_delivery` round-robins the nodes' delivery channels.
 
 use crate::error::ClusterError;
 use crate::transport::{FaultCommand, Transport};
 use allconcur_core::delivery::Delivery;
 use allconcur_core::ServerId;
 use allconcur_graph::Digraph;
-use allconcur_net::runtime::RuntimeOptions;
+use allconcur_net::runtime::{LinkFault, RuntimeOptions};
 use allconcur_net::LocalCluster;
 use bytes::Bytes;
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ const POLL_MAX: Duration = Duration::from_millis(2);
 /// Suggested retry pause reported with [`ClusterError::Busy`] when a
 /// node's bounded input queue sheds a submission. One millisecond is a
 /// few round-trips of loopback protocol work — long enough for the
-/// protocol thread to drain real backlog, short enough that a
+/// node's reactor to drain real backlog, short enough that a
 /// closed-loop client barely notices.
 const SUBMIT_RETRY_AFTER: Duration = Duration::from_millis(1);
 
@@ -45,17 +45,6 @@ pub struct TcpTransport {
     /// tears the node down — matching the simulator, where a victim's
     /// pre-crash deliveries stay observable.
     parked: std::collections::VecDeque<(ServerId, Delivery)>,
-    /// Links with an active send-drop fault, so `ClearLinkFaults` can
-    /// reset exactly the rates it set. Cleared on reconfigure (fresh
-    /// runtimes start fault-free).
-    lossy_links: std::collections::BTreeSet<(ServerId, ServerId)>,
-    /// Links held down by [`FaultCommand::LinkDown`], so
-    /// `ClearLinkFaults` can heal exactly the links it severed. Flaps
-    /// are not tracked — they heal themselves. Cleared on reconfigure.
-    downed_links: std::collections::BTreeSet<(ServerId, ServerId)>,
-    /// Links with an active bit-flip fault, so `ClearLinkFaults` can
-    /// reset exactly the rates it set. Cleared on reconfigure.
-    flipping_links: std::collections::BTreeSet<(ServerId, ServerId)>,
 }
 
 impl TcpTransport {
@@ -68,9 +57,6 @@ impl TcpTransport {
             opts,
             cursor: 0,
             parked: std::collections::VecDeque::new(),
-            lossy_links: std::collections::BTreeSet::new(),
-            downed_links: std::collections::BTreeSet::new(),
-            flipping_links: std::collections::BTreeSet::new(),
         })
     }
 
@@ -158,9 +144,9 @@ impl Transport for TcpTransport {
         }
         // Rescue deliveries the victim already produced: killing the node
         // drops its channel, and the simulator keeps these observable.
-        // The drain happens after the node's threads join, so a round
-        // completing during teardown cannot slip away.
-        for delivery in cluster.kill_and_drain(id) {
+        // The drain happens after the reactor tore the node down, so a
+        // round completing during teardown cannot slip away.
+        for delivery in cluster.kill(id) {
             self.parked.push_back((id, delivery));
         }
         Ok(())
@@ -178,88 +164,49 @@ impl Transport for TcpTransport {
     }
 
     fn inject_fault(&mut self, fault: &FaultCommand) -> Result<(), ClusterError> {
-        match fault {
-            FaultCommand::Drop { from, to, ppm } => {
-                self.check_id(*from)?;
-                self.check_id(*to)?;
-                // Clamp to 100%, matching the sim backend's contract.
-                let ppm = (*ppm).min(allconcur_sim::fault::PPM);
-                self.live_cluster()?.set_link_drop(*from, *to, ppm);
-                if ppm == 0 {
-                    self.lossy_links.remove(&(*from, *to));
-                } else {
-                    self.lossy_links.insert((*from, *to));
-                }
-                Ok(())
-            }
+        // Rates clamp to 100%, matching the sim backend's contract.
+        let clamp = |ppm: u32| ppm.min(allconcur_sim::fault::PPM);
+        let (from, to, link_fault) = match *fault {
+            FaultCommand::Drop { from, to, ppm } => (from, to, LinkFault::Drop { ppm: clamp(ppm) }),
             FaultCommand::BitFlip { from, to, ppm } => {
-                self.check_id(*from)?;
-                self.check_id(*to)?;
-                // Clamp to 100%, matching the sim backend's contract.
-                let ppm = (*ppm).min(allconcur_sim::fault::PPM);
-                self.live_cluster()?.set_link_flip(*from, *to, ppm);
-                if ppm == 0 {
-                    self.flipping_links.remove(&(*from, *to));
-                } else {
-                    self.flipping_links.insert((*from, *to));
-                }
-                Ok(())
+                (from, to, LinkFault::Flip { ppm: clamp(ppm) })
             }
-            FaultCommand::LinkDown { from, to } => {
-                self.check_id(*from)?;
-                self.check_id(*to)?;
-                self.live_cluster()?.link_down(*from, *to);
-                self.downed_links.insert((*from, *to));
-                Ok(())
-            }
+            FaultCommand::LinkDown { from, to } => (from, to, LinkFault::Down),
             FaultCommand::LinkFlap { from, to, down_for } => {
-                self.check_id(*from)?;
-                self.check_id(*to)?;
-                self.live_cluster()?.link_flap(*from, *to, *down_for);
-                Ok(())
+                (from, to, LinkFault::Flap { down_for })
             }
-            FaultCommand::LinkUp { from, to } => {
-                self.check_id(*from)?;
-                self.check_id(*to)?;
-                self.live_cluster()?.link_up(*from, *to);
-                self.downed_links.remove(&(*from, *to));
-                Ok(())
-            }
+            FaultCommand::LinkUp { from, to } => (from, to, LinkFault::Up),
             FaultCommand::ClearLinkFaults => {
+                // Every node's reactor owns its links' fault state and
+                // clears it itself; a fault-free link ignores the clear.
                 let cluster = self.live_cluster()?;
-                for &(from, to) in &self.lossy_links {
-                    cluster.set_link_drop(from, to, 0);
+                for from in 0..cluster.n() as ServerId {
+                    for &to in cluster.config().graph.successors(from) {
+                        cluster.inject_fault(from, to, LinkFault::Clear);
+                    }
                 }
-                for &(from, to) in &self.downed_links {
-                    cluster.link_up(from, to);
-                }
-                for &(from, to) in &self.flipping_links {
-                    cluster.set_link_flip(from, to, 0);
-                }
-                self.lossy_links.clear();
-                self.downed_links.clear();
-                self.flipping_links.clear();
-                Ok(())
+                return Ok(());
             }
             // Nothing to heal: TCP cannot partition, so blanket scenario
             // teardown heals harmlessly.
-            FaultCommand::HealPartitions => {
-                self.live_cluster()?;
-                Ok(())
-            }
+            FaultCommand::HealPartitions => return self.live_cluster().map(|_| ()),
             FaultCommand::Partition { .. } => {
-                Err(ClusterError::Unsupported("partitions on the TCP transport"))
+                return Err(ClusterError::Unsupported("partitions on the TCP transport"))
             }
             FaultCommand::Isolate { .. } => {
-                Err(ClusterError::Unsupported("link isolation on the TCP transport"))
+                return Err(ClusterError::Unsupported("link isolation on the TCP transport"))
             }
             FaultCommand::Delay { .. } => {
-                Err(ClusterError::Unsupported("delay spikes on the TCP transport"))
+                return Err(ClusterError::Unsupported("delay spikes on the TCP transport"))
             }
             FaultCommand::Reorder { .. } => {
-                Err(ClusterError::Unsupported("reorder bursts on the TCP transport"))
+                return Err(ClusterError::Unsupported("reorder bursts on the TCP transport"))
             }
-        }
+        };
+        self.check_id(from)?;
+        self.check_id(to)?;
+        self.live_cluster()?.inject_fault(from, to, link_fault);
+        Ok(())
     }
 
     fn set_round_window(&mut self, window: usize) -> Result<(), ClusterError> {
@@ -276,11 +223,6 @@ impl Transport for TcpTransport {
         // carrying them across would replay old server ids and round
         // numbers into the new one (and diverge from the sim backend).
         self.parked.clear();
-        // Fresh runtimes start fault-free; old link ids are meaningless
-        // under the renumbered overlay.
-        self.lossy_links.clear();
-        self.downed_links.clear();
-        self.flipping_links.clear();
         let fresh = LocalCluster::spawn(graph, self.opts)?;
         self.n = fresh.n();
         self.cluster = Some(fresh);

@@ -135,8 +135,8 @@ pub enum FaultCommand {
         to: ServerId,
     },
     /// Remove every link fault and release everything held. Supported by
-    /// both backends (on TCP it clears the send-drop table and heals
-    /// held-down links).
+    /// both backends (on TCP every server's reactor zeroes its links'
+    /// drop and flip rates and heals its held-down or flapping links).
     ClearLinkFaults,
 }
 

@@ -20,9 +20,10 @@
 //!   sanctioned pattern, and the `core_rounds` counting allocator
 //!   asserts the steady-state loop allocates nothing per event.)
 //! * `lock_order` — builds a static acquisition graph over
-//!   `parking_lot` `Mutex`/`RwLock` struct fields and fails on cycles
-//!   (including same-lock re-acquisition within one fn body, since
-//!   `parking_lot` locks are not reentrant). Guard drops are invisible
+//!   `Mutex`/`RwLock` struct fields (matched by type name, so `std` and
+//!   any drop-in replacement alike) and fails on cycles (including
+//!   same-lock re-acquisition within one fn body, since neither kind
+//!   of lock is reentrant). Guard drops are invisible
 //!   lexically, so this over-approximates; suppress with justification
 //!   where a drop provably breaks the order.
 //! * `bounded_queues` — forbids unbounded channel construction
@@ -448,7 +449,7 @@ pub fn check_lock_order(seqs: &[Vec<Acquisition>]) -> Vec<Violation> {
                         line: b.line,
                         snippet: format!("{} re-acquired in fn {}", b.lock, b.func),
                         message: format!(
-                            "`{}` acquired twice in fn `{}` (lines {} and {}); parking_lot \
+                            "`{}` acquired twice in fn `{}` (lines {} and {}); these \
                              locks are not reentrant — this self-deadlocks unless the first \
                              guard is dropped",
                             b.lock, b.func, a.line, b.line

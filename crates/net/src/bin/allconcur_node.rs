@@ -109,7 +109,6 @@ fn main() {
             heartbeat_period: Duration::from_millis(10),
             timeout: Duration::from_millis(fd_timeout_ms),
         },
-        suspect_on_disconnect: true,
         connect_attempts: 600, // allow ~60s for peers to come up
         connect_backoff: Duration::from_millis(100),
         ..RuntimeOptions::default()

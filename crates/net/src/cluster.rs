@@ -7,7 +7,7 @@
 
 use crate::event_loop::EventLoopPool;
 use crate::link::LinkStatsSnapshot;
-use crate::runtime::{Delivery, NodeRuntime, RuntimeOptions};
+use crate::runtime::{Delivery, LinkFault, NodeRuntime, RuntimeOptions};
 use allconcur_core::config::{Config, FdMode};
 use allconcur_core::ServerId;
 use allconcur_graph::Digraph;
@@ -19,9 +19,9 @@ use std::time::Duration;
 /// A local multi-server deployment.
 ///
 /// Every node shares one [`EventLoopPool`] sized `min(cores, n)`, so
-/// the whole cluster runs on O(cores) threads — not the O(n·d) the old
-/// thread-per-socket runtime needed, which is what collapsed pipelined
-/// rounds at `n = 16` on small machines.
+/// the whole cluster runs on O(cores) threads — a thread per socket
+/// would need O(n·d), which collapses pipelined rounds at `n = 16` on
+/// small machines.
 pub struct LocalCluster {
     nodes: Vec<Option<NodeRuntime>>,
     cfg: Config,
@@ -58,12 +58,8 @@ impl LocalCluster {
         // One reactor per core (never more than one per node): the
         // event loops multiplex every node's sockets and timers, so
         // thread count stays O(cores) regardless of n and d.
-        let threads = if opts.loop_threads > 0 {
-            opts.loop_threads
-        } else {
-            std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-        };
-        let pool = EventLoopPool::new(threads.min(n).max(1))?;
+        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        let pool = EventLoopPool::new(cores.min(n))?;
 
         let mut nodes = Vec::with_capacity(n);
         // Connections are non-blocking and retried under backoff, so
@@ -112,12 +108,9 @@ impl LocalCluster {
         }
     }
 
-    /// Wait for the next delivery at `id`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `allconcur_cluster::Cluster::recv_delivery`, which distinguishes \
-                timeouts from dead servers and works identically over both backends"
-    )]
+    /// Wait up to `timeout` for the next delivery at `id` — this
+    /// layer's blocking receive (`None` on a timeout or a dead server;
+    /// `allconcur_cluster::Cluster::recv_delivery` tells the two apart).
     pub fn recv_delivery(&self, id: ServerId, timeout: Duration) -> Option<Delivery> {
         self.nodes[id as usize].as_ref()?.recv_delivery(timeout)
     }
@@ -142,49 +135,12 @@ impl LocalCluster {
         }
     }
 
-    /// Drop protocol frames on the directed link `from → to` with
-    /// probability `ppm / 1e6` (`0` clears the fault). The drop happens
-    /// in `from`'s writer path; heartbeats and the TCP connection are
-    /// unaffected — this injects message loss, not a disconnect.
-    pub fn set_link_drop(&self, from: ServerId, to: ServerId, ppm: u32) {
+    /// Inject `fault` on the directed link `from → to`; it is applied
+    /// in `from`'s writer path (see [`LinkFault`]). A dead `from` has no
+    /// links left to fault.
+    pub fn inject_fault(&self, from: ServerId, to: ServerId, fault: LinkFault) {
         if let Some(node) = &self.nodes[from as usize] {
-            node.set_link_drop(to, ppm);
-        }
-    }
-
-    /// Corrupt protocol frames on the directed link `from → to` with
-    /// probability `ppm / 1e6` (`0` clears the fault): one bit of each
-    /// sampled frame is flipped in `from`'s writer path. The receiver's
-    /// CRC check rejects the frame and the link heals through the
-    /// reader-grace/reconnect path — no corrupted payload is delivered.
-    pub fn set_link_flip(&self, from: ServerId, to: ServerId, ppm: u32) {
-        if let Some(node) = &self.nodes[from as usize] {
-            node.set_link_flip(to, ppm);
-        }
-    }
-
-    /// Fault injection: sever the directed link `from → to` and hold it
-    /// down until [`LocalCluster::link_up`]. Outbound frames buffer in
-    /// `from`'s bounded Degraded queue for replay on heal.
-    pub fn link_down(&self, from: ServerId, to: ServerId) {
-        if let Some(node) = &self.nodes[from as usize] {
-            node.link_down(to);
-        }
-    }
-
-    /// Fault injection: sever `from → to` for `down_for`, then
-    /// auto-heal and reconnect.
-    pub fn link_flap(&self, from: ServerId, to: ServerId, down_for: Duration) {
-        if let Some(node) = &self.nodes[from as usize] {
-            node.link_flap(to, down_for);
-        }
-    }
-
-    /// Fault injection: heal a link held down by
-    /// [`LocalCluster::link_down`] / [`LocalCluster::link_flap`].
-    pub fn link_up(&self, from: ServerId, to: ServerId) {
-        if let Some(node) = &self.nodes[from as usize] {
-            node.link_up(to);
+            node.inject_fault(to, fault);
         }
     }
 
@@ -193,22 +149,12 @@ impl LocalCluster {
         self.nodes[id as usize].as_ref().map(|n| n.link_stats()).unwrap_or_default()
     }
 
-    /// Emulate a fail-stop crash of `id`: all its threads stop, sockets
-    /// close, heartbeats cease. Peers detect via disconnect/FD.
-    pub fn kill(&mut self, id: ServerId) {
-        if let Some(node) = self.nodes[id as usize].take() {
-            node.shutdown();
-        }
-    }
-
-    /// [`LocalCluster::kill`], returning the deliveries `id` produced
-    /// that the application had not yet received (drained after the
-    /// node's threads have joined, so none are lost in the teardown).
-    pub fn kill_and_drain(&mut self, id: ServerId) -> Vec<Delivery> {
-        match self.nodes[id as usize].take() {
-            Some(node) => node.shutdown_and_drain(),
-            None => Vec::new(),
-        }
+    /// Emulate a fail-stop crash of `id`: its reactor drops the node,
+    /// sockets close, heartbeats cease; peers detect via disconnect/FD.
+    /// Returns the deliveries `id` produced that the application had
+    /// not yet received (drained after the teardown, so none are lost).
+    pub fn kill(&mut self, id: ServerId) -> Vec<Delivery> {
+        self.nodes[id as usize].take().map(NodeRuntime::shutdown).unwrap_or_default()
     }
 
     /// Whether `id` is still running.
@@ -216,30 +162,10 @@ impl LocalCluster {
         self.nodes[id as usize].is_some()
     }
 
-    /// Run one full round: broadcast `payloads[i]` as server `i` (for
-    /// running servers) and collect one delivery from each. Returns
-    /// `None` entries for servers that are dead or time out.
-    #[deprecated(
-        since = "0.2.0",
-        note = "drive deployments through `allconcur_cluster::Cluster::run_round`, which \
-                works identically over the simulator and TCP"
-    )]
-    #[allow(deprecated)] // shim calls its deprecated sibling
-    pub fn run_round(&self, payloads: &[Bytes], timeout: Duration) -> Vec<Option<Delivery>> {
-        assert_eq!(payloads.len(), self.n());
-        for (i, p) in payloads.iter().enumerate() {
-            let _ = self.broadcast(i as ServerId, p.clone());
-        }
-        (0..self.n() as ServerId).map(|i| self.recv_delivery(i, timeout)).collect()
-    }
-
-    /// Graceful shutdown of every remaining server.
-    pub fn shutdown(mut self) {
-        for node in self.nodes.iter_mut() {
-            if let Some(n) = node.take() {
-                n.shutdown();
-            }
-        }
+    /// Graceful shutdown of every remaining server (what dropping the
+    /// cluster does; spelled out for call sites that want it visible).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -254,27 +180,41 @@ impl Drop for LocalCluster {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercises the deprecated lockstep shim on purpose
 mod tests {
     use super::*;
     use allconcur_graph::gs::gs_digraph;
     use allconcur_graph::standard::complete_digraph;
 
-    fn payloads(n: usize) -> Vec<Bytes> {
-        (0..n).map(|i| Bytes::from(vec![i as u8; 32])).collect()
+    const TIMEOUT: Duration = Duration::from_secs(20);
+
+    /// Broadcast one payload per running server, collect one delivery
+    /// from each, and assert they all carry `round` and the same message
+    /// list (total order). Returns that list.
+    fn run_checked_round(cluster: &LocalCluster, round: u64) -> Vec<(ServerId, Bytes)> {
+        let running: Vec<ServerId> =
+            (0..cluster.n() as ServerId).filter(|&i| cluster.is_running(i)).collect();
+        for &i in &running {
+            let payload = Bytes::from(vec![i as u8; 32]);
+            assert!(cluster.broadcast(i, payload), "server {i} shed round {round}");
+        }
+        let mut reference: Option<Vec<(ServerId, Bytes)>> = None;
+        for &i in &running {
+            let d = cluster
+                .recv_delivery(i, TIMEOUT)
+                .unwrap_or_else(|| panic!("server {i} timed out in round {round}"));
+            assert_eq!(d.round, round, "server {i}");
+            match &reference {
+                None => reference = Some(d.messages),
+                Some(r) => assert_eq!(&d.messages, r, "total order violated at server {i}"),
+            }
+        }
+        reference.expect("at least one server is running")
     }
 
     #[test]
     fn tcp_round_on_complete_digraph() {
         let cluster = LocalCluster::spawn(complete_digraph(4), RuntimeOptions::default()).unwrap();
-        let deliveries = cluster.run_round(&payloads(4), Duration::from_secs(10));
-        let first = deliveries[0].as_ref().expect("server 0 delivered");
-        assert_eq!(first.messages.len(), 4);
-        for (i, d) in deliveries.iter().enumerate() {
-            let d = d.as_ref().unwrap_or_else(|| panic!("server {i} timed out"));
-            assert_eq!(d.round, 0);
-            assert_eq!(d.messages, first.messages, "total order violated at {i}");
-        }
+        assert_eq!(run_checked_round(&cluster, 0).len(), 4);
         cluster.shutdown();
     }
 
@@ -283,12 +223,7 @@ mod tests {
         let cluster =
             LocalCluster::spawn(gs_digraph(8, 3).unwrap(), RuntimeOptions::default()).unwrap();
         for round in 0..3u64 {
-            let deliveries = cluster.run_round(&payloads(8), Duration::from_secs(10));
-            for (i, d) in deliveries.iter().enumerate() {
-                let d = d.as_ref().unwrap_or_else(|| panic!("server {i} round {round}"));
-                assert_eq!(d.round, round);
-                assert_eq!(d.messages.len(), 8);
-            }
+            assert_eq!(run_checked_round(&cluster, round).len(), 8, "round {round}");
         }
         cluster.shutdown();
     }
@@ -298,31 +233,12 @@ mod tests {
         let mut cluster =
             LocalCluster::spawn(gs_digraph(8, 3).unwrap(), RuntimeOptions::default()).unwrap();
         // Round 0: all alive.
-        let d0 = cluster.run_round(&payloads(8), Duration::from_secs(10));
-        assert!(d0.iter().all(Option::is_some));
-        // Kill server 6, then run a round without it.
-        cluster.kill(6);
-        let mut ps = payloads(8);
-        ps[6] = Bytes::new();
-        for (i, p) in ps.iter().enumerate() {
-            let _ = cluster.broadcast(i as ServerId, p.clone());
-        }
-        let mut reference: Option<Vec<(ServerId, Bytes)>> = None;
-        for i in 0..8u32 {
-            if i == 6 {
-                continue;
-            }
-            let d = cluster
-                .recv_delivery(i, Duration::from_secs(20))
-                .unwrap_or_else(|| panic!("server {i} stuck after crash"));
-            assert_eq!(d.round, 1);
-            let origins: Vec<ServerId> = d.messages.iter().map(|&(o, _)| o).collect();
-            assert!(!origins.contains(&6), "server {i} delivered the dead server's message");
-            match &reference {
-                None => reference = Some(d.messages),
-                Some(r) => assert_eq!(&d.messages, r, "set agreement violated at {i}"),
-            }
-        }
+        assert_eq!(run_checked_round(&cluster, 0).len(), 8);
+        // Kill server 6 (it had nothing undelivered), then run a round
+        // without it: the survivors agree on a set that excludes it.
+        assert!(cluster.kill(6).is_empty());
+        let messages = run_checked_round(&cluster, 1);
+        assert!(messages.iter().all(|&(origin, _)| origin != 6), "dead server's message delivered");
         cluster.shutdown();
     }
 }

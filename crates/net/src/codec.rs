@@ -106,8 +106,8 @@ pub fn is_corrupt_frame(e: &io::Error) -> bool {
 /// Encode one message into its wire frame, bounds-checked.
 ///
 /// The frame is refcounted [`Bytes`]: encode once, then hand the same
-/// frame to every successor's writer ([`write_encoded_frame`]) — the
-/// fan-out path of the protocol loop never re-encodes per destination.
+/// frame to every successor's write buffer — the fan-out path of the
+/// protocol loop never re-encodes per destination.
 pub fn encode_frame(msg: &Message) -> io::Result<Bytes> {
     if msg.encoded_len() > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
@@ -115,16 +115,11 @@ pub fn encode_frame(msg: &Message) -> io::Result<Bytes> {
     Ok(msg.to_frame())
 }
 
-/// Write one already-encoded frame (from [`encode_frame`]).
-pub fn write_encoded_frame<W: Write>(w: &mut W, frame: &Bytes) -> io::Result<()> {
-    w.write_all(frame)
-}
-
 /// Write one framed message (encode + write in one step; the fan-out
-/// hot path uses [`encode_frame`] + [`write_encoded_frame`] instead so
-/// one encoding serves all `d` successors).
+/// hot path keeps the [`encode_frame`] result instead so one encoding
+/// serves all `d` successors).
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    write_encoded_frame(w, &encode_frame(msg)?)
+    w.write_all(&encode_frame(msg)?)
 }
 
 /// Verify and decode one complete frame body against its header CRC.
@@ -137,31 +132,16 @@ fn decode_checked(body: &[u8], sum: u32) -> io::Result<Message> {
     Message::decode(&mut bytes).map_err(|e| FrameFault::Decode(e).into())
 }
 
-/// Read one framed message (blocking).
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Message> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let sum = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME {
-        return Err(FrameFault::Oversize { len }.into());
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    decode_checked(&buf, sum)
-}
-
-/// Buffered frame reader for the runtime's per-connection reader
-/// threads.
+/// Buffered frame reader, one per inbound connection.
 ///
-/// [`read_frame`] costs two `read` syscalls (header, body) per message;
-/// under pipelined rounds a predecessor's link carries dense bursts of
+/// Under pipelined rounds a predecessor's link carries dense bursts of
 /// small frames, so this reader pulls whole bursts into one buffer with
-/// a single syscall and parses frames out of it. It is also safe under
-/// read *timeouts*: a `WouldBlock`/`TimedOut` mid-frame keeps the
-/// partial bytes buffered and resumes cleanly on the next call —
-/// `read_frame` + `read_exact` would desynchronise the stream instead.
-/// Every parsed frame is CRC-checked before its body is decoded.
+/// a single `read` syscall and parses frames out of it. It is built for
+/// non-blocking sockets: a `WouldBlock`/`TimedOut` mid-frame keeps the
+/// partial bytes buffered and resumes cleanly on the next call, where
+/// reading the header and then the body to completion would lose its
+/// place in the stream. Every parsed frame is CRC-checked before its
+/// body is decoded.
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -249,25 +229,26 @@ impl FrameReader {
     }
 }
 
+/// Wire size of the connection handshake: magic, version, sender id.
+pub const HANDSHAKE_LEN: usize = HANDSHAKE_MAGIC.len() + 1 + std::mem::size_of::<ServerId>();
+
 /// Handshake sent by the connecting (predecessor) side: magic,
 /// wire-format version, then the sender's id. Versioned so a future v3
 /// can negotiate instead of desyncing against an old peer.
 pub fn write_handshake<W: Write>(w: &mut W, id: ServerId) -> io::Result<()> {
-    let mut buf = [0u8; 7];
+    let mut buf = [0u8; HANDSHAKE_LEN];
     buf[..2].copy_from_slice(&HANDSHAKE_MAGIC);
     buf[2] = WIRE_VERSION;
     buf[3..].copy_from_slice(&id.to_le_bytes());
     w.write_all(&buf)
 }
 
-/// Handshake read by the accepting (successor) side. Rejects a bad
-/// magic or an unsupported version with a typed
+/// Parse the handshake the accepting (successor) side read. Rejects a
+/// bad magic or an unsupported version with a typed
 /// [`FrameFault::Handshake`].
-pub fn read_handshake<R: Read>(r: &mut R) -> io::Result<ServerId> {
-    let mut buf = [0u8; 7];
-    r.read_exact(&mut buf)?;
+pub fn parse_handshake(buf: &[u8; HANDSHAKE_LEN]) -> Result<ServerId, FrameFault> {
     if buf[..2] != HANDSHAKE_MAGIC || buf[2] != WIRE_VERSION {
-        return Err(FrameFault::Handshake { got: [buf[0], buf[1], buf[2]] }.into());
+        return Err(FrameFault::Handshake { got: [buf[0], buf[1], buf[2]] });
     }
     Ok(ServerId::from_le_bytes([buf[3], buf[4], buf[5], buf[6]]))
 }
@@ -289,23 +270,9 @@ mod tests {
             write_frame(&mut wire, m).unwrap();
         }
         let mut cursor = Cursor::new(wire);
+        let mut reader = FrameReader::new();
         for m in &msgs {
-            assert_eq!(&read_frame(&mut cursor).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn encoded_frame_fans_out_identically() {
-        // One encode_frame, written to several writers, must decode to
-        // the same message on every stream.
-        let msg = Message::Bcast { round: 2, origin: 7, payload: Bytes::from(vec![9u8; 128]) };
-        let frame = encode_frame(&msg).unwrap();
-        let mut wires: Vec<Vec<u8>> = vec![Vec::new(); 3];
-        for w in &mut wires {
-            write_encoded_frame(w, &frame).unwrap();
-        }
-        for wire in wires {
-            assert_eq!(read_frame(&mut Cursor::new(wire)).unwrap(), msg);
+            assert_eq!(reader.read_frame(&mut cursor).unwrap().as_ref(), Some(m));
         }
     }
 
@@ -313,7 +280,7 @@ mod tests {
     fn handshake_roundtrip() {
         let mut wire = Vec::new();
         write_handshake(&mut wire, 42).unwrap();
-        assert_eq!(read_handshake(&mut Cursor::new(wire)).unwrap(), 42);
+        assert_eq!(parse_handshake(wire.as_slice().try_into().unwrap()), Ok(42));
     }
 
     #[test]
@@ -321,25 +288,14 @@ mod tests {
         // A v1 peer sent a bare 4-byte id; whatever those bytes are,
         // they cannot pass the magic check. (7 zero bytes stands in for
         // the prefix of any v1 stream plus padding.)
-        let v1 = [0u8; 7];
-        let err = read_handshake(&mut Cursor::new(v1.to_vec())).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Handshake { .. })));
+        let v1 = [0u8; HANDSHAKE_LEN];
+        assert!(matches!(parse_handshake(&v1), Err(FrameFault::Handshake { .. })));
         // Right magic, wrong version.
         let mut wrong_ver = Vec::new();
         write_handshake(&mut wrong_ver, 3).unwrap();
         wrong_ver[2] = 99;
-        let err = read_handshake(&mut Cursor::new(wrong_ver)).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Handshake { got }) if got[2] == 99));
-    }
-
-    #[test]
-    fn oversized_frame_rejected_with_typed_fault() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
-        let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
-        assert!(matches!(frame_fault(&err), Some(FrameFault::Oversize { .. })));
-        assert!(is_corrupt_frame(&err));
+        let err = parse_handshake(wrong_ver.as_slice().try_into().unwrap()).unwrap_err();
+        assert!(matches!(err, FrameFault::Handshake { got } if got[2] == 99));
     }
 
     #[test]
@@ -349,11 +305,11 @@ mod tests {
         write_frame(&mut wire, &msg).unwrap();
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
-        let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
+        let err = FrameReader::new().read_frame(&mut Cursor::new(wire)).unwrap_err();
         assert!(matches!(frame_fault(&err), Some(FrameFault::CrcMismatch { .. })));
         assert!(is_corrupt_frame(&err));
         // EOF carries no FrameFault.
-        let eof = read_frame(&mut Cursor::new(Vec::new())).unwrap_err();
+        let eof = FrameReader::new().read_frame(&mut Cursor::new(Vec::new())).unwrap_err();
         assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
         assert!(!is_corrupt_frame(&eof));
     }
@@ -427,6 +383,7 @@ mod tests {
         let mut reader = FrameReader::new();
         let err = reader.read_frame(&mut corrupt).unwrap_err();
         assert!(matches!(frame_fault(&err), Some(FrameFault::Oversize { .. })));
+        assert!(is_corrupt_frame(&err));
     }
 
     #[test]
@@ -447,6 +404,6 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &msg).unwrap();
         wire.truncate(wire.len() - 10);
-        assert!(read_frame(&mut Cursor::new(wire)).is_err());
+        assert!(FrameReader::new().read_frame(&mut Cursor::new(wire)).is_err());
     }
 }

@@ -2,25 +2,24 @@
 //! [`crate::runtime::NodeRuntime`].
 //!
 //! The paper's implementation runs each server as a single libev event
-//! loop (§5). The first TCP runtime here translated that to blocking
-//! threads — accept + per-connection reader threads, a protocol thread,
-//! transient reconnector threads, and three heartbeat/FD threads —
-//! which costs ~`4·n·d` threads for an in-process cluster and collapses
-//! under round pipelining at `n = 16` on small machines: the kernel
-//! round-robins hundreds of runnable threads and every in-window round
-//! pays scheduling latency instead of overlapping it.
+//! loop (§5), and this is the crate's only runtime model. Translating
+//! it to blocking threads — accept + per-connection readers, a protocol
+//! thread, transient reconnectors, heartbeat/FD threads — costs
+//! ~`4·n·d` threads for an in-process cluster and collapses under round
+//! pipelining at `n = 16` on small machines: the kernel round-robins
+//! hundreds of runnable threads and every in-window round pays
+//! scheduling latency instead of overlapping it.
 //!
-//! This module restores the paper's shape: a small pool of reactor
-//! threads (one per core by default, shared by every node of a
+//! Hence the paper's shape: a small pool of reactor threads (one per
+//! core by default, shared by every node of a
 //! [`crate::cluster::LocalCluster`]), each running an epoll loop over
 //! the nodes assigned to it. Everything one node does — accepting,
 //! handshakes, frame reads, coalesced vectored writes, non-blocking
 //! connects, reconnect backoff, heartbeat emission, failure-detector
-//! checks, grace/gate timers — happens on its one assigned reactor, so
-//! the per-node state needs no locking at all, exactly like the old
-//! protocol thread but without the `O(n·d)` helpers around it.
+//! checks, grace/gate timers, injected link faults — happens on its one
+//! assigned reactor, so the per-node state needs no locking at all.
 //!
-//! Per-link readiness state machines replace the helper threads:
+//! Per-link readiness state machines stand where helper threads would:
 //!
 //! ```text
 //!             writable + SO_ERROR=0
@@ -33,21 +32,22 @@
 //!            exhausted        (bounded FrameQueue)
 //! ```
 //!
-//! Inbound connections run `InHandshake → In`, feeding the same
-//! [`crate::codec::FrameReader`] the reader threads used — a read that
-//! would block simply returns to the loop instead of parking a thread.
-//! Heartbeats and the ◇P failure detector are two timer entries on the
-//! same loop (`Δ_hb` sends, `Δ_hb/2` expiry sweeps), reusing
+//! Inbound connections run `InHandshake → In`, feeding a
+//! [`crate::codec::FrameReader`] — a read that would block simply
+//! returns to the loop instead of parking a thread. Heartbeats and the
+//! ◇P failure detector are two timer entries on the same loop (`Δ_hb`
+//! sends, `Δ_hb/2` expiry sweeps) over the node's own
 //! [`crate::heartbeat::HeartbeatTable`] and
-//! [`crate::heartbeat::AdaptiveTimeout`] semantics unchanged.
+//! [`crate::heartbeat::AdaptiveTimeout`], stamped with the iteration's
+//! timestamp.
 
 use crate::codec::{
-    encode_frame, is_corrupt_frame, write_handshake, FrameReader, HANDSHAKE_MAGIC, WIRE_VERSION,
+    encode_frame, is_corrupt_frame, parse_handshake, write_handshake, FrameReader, HANDSHAKE_LEN,
 };
 use crate::heartbeat::{self, AdaptiveTimeout, HeartbeatTable};
 use crate::link::{BackoffPolicy, FrameQueue, LinkStats, WriteBuf};
 use crate::runtime::{
-    accept_retry_delay, link_seed, same_message, Delivery, NodeInput, RuntimeOptions,
+    accept_retry_delay, link_seed, same_message, Delivery, LinkFault, NodeInput, RuntimeOptions,
     DROP_PPM_SCALE,
 };
 use allconcur_core::config::Config;
@@ -57,7 +57,6 @@ use allconcur_core::ServerId;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -86,12 +85,32 @@ const READ_BATCH: usize = 256;
 const EVENTS_CAP: usize = 256;
 
 /// Deadline on one non-blocking connect attempt before it is torn down
-/// and retried under backoff (the old reconnector used the same 100 ms
-/// as its `connect_timeout`).
+/// and retried under backoff.
 const CONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Wire handshake length (`codec::write_handshake`).
-const HANDSHAKE_LEN: usize = 7;
+/// Cap on the exponential component of the connect/reconnect backoff
+/// (see [`BackoffPolicy`]; with jitter a retry waits at most 1.5× this).
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(160);
+
+/// How long the protocol holds back peers' `BCAST`s for a round the
+/// application has not submitted a payload for yet.
+///
+/// Without the gate, a peer's round-`r` broadcast racing ahead of the
+/// local `broadcast()` call makes Algorithm 1 line 15 answer with an
+/// *empty* message and silently defers the application's payload to
+/// round `r+1`. Submitting before or promptly after a round opens (as
+/// the `Cluster` facade does) never hits the deadline; a server left
+/// without a submission falls back to the empty broadcast after the
+/// grace, so liveness is preserved.
+///
+/// The gate is **round-aware**: a `BCAST` is held back only while its
+/// round is genuinely unsubmitted — at or past
+/// [`Server::next_unsubmitted_round`], i.e. the application has
+/// neither broadcast nor queued a payload covering it. Rounds the
+/// application already submitted ahead for (pipelined submissions
+/// under a `round_window > 1`) flow through undelayed, so the grace
+/// costs pipelined workloads nothing.
+const APP_GRACE: Duration = Duration::from_millis(400);
 
 /// A shared pool of reactor threads. One per core by default
 /// ([`crate::cluster::LocalCluster`] sizes it `min(cores, n)`); a
@@ -140,38 +159,26 @@ enum Ctrl {
 struct ReactorHandle {
     ctrl_tx: Sender<Ctrl>,
     waker: Arc<Waker>,
-    /// Joined on shutdown. Single lock, never nested (lock_order-safe);
-    /// `parking_lot` so the guard needs no `.unwrap()`.
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Joined when the pool drops.
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl EventLoopPool {
     /// Spawn a pool of `threads` reactors (clamped to ≥ 1).
     pub fn new(threads: usize) -> io::Result<Arc<EventLoopPool>> {
-        let threads = threads.max(1);
         let stop = Arc::new(AtomicBool::new(false));
-        let mut reactors = Vec::with_capacity(threads);
-        for i in 0..threads {
-            match ReactorHandle::spawn(i, stop.clone()) {
-                Ok(h) => reactors.push(h),
-                Err(e) => {
-                    let pool = EventLoopPool {
-                        reactors,
-                        next: AtomicUsize::new(0),
-                        next_key: AtomicU64::new(0),
-                        stop,
-                    };
-                    pool.shutdown();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Arc::new(EventLoopPool {
-            reactors,
+        let mut pool = EventLoopPool {
+            reactors: Vec::new(),
             next: AtomicUsize::new(0),
             next_key: AtomicU64::new(0),
-            stop,
-        }))
+            stop: stop.clone(),
+        };
+        for i in 0..threads.max(1) {
+            // On failure the partial pool drops, joining the reactors
+            // already spawned.
+            pool.reactors.push(ReactorHandle::spawn(i, stop.clone())?);
+        }
+        Ok(Arc::new(pool))
     }
 
     /// Number of reactor threads.
@@ -218,27 +225,21 @@ impl EventLoopPool {
             let _ = h.waker.wake();
         }
     }
+}
 
-    /// Stop every reactor and join its thread. Idempotent; also runs on
-    /// drop. Nodes still registered are torn down by their reactor on
-    /// the way out.
-    pub fn shutdown(&self) {
+/// Stop every reactor and join its thread. Nodes still registered are
+/// torn down by their reactor on the way out.
+impl Drop for EventLoopPool {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         for h in &self.reactors {
             let _ = h.waker.wake();
         }
-        for h in &self.reactors {
-            let joinable = h.thread.lock().take();
-            if let Some(t) = joinable {
+        for h in &mut self.reactors {
+            if let Some(t) = h.thread.take() {
                 let _ = t.join();
             }
         }
-    }
-}
-
-impl Drop for EventLoopPool {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -261,7 +262,7 @@ impl ReactorHandle {
         let thread = std::thread::Builder::new()
             .name(format!("ac-loop-{index}"))
             .spawn(move || reactor.run())?;
-        Ok(ReactorHandle { ctrl_tx, waker, thread: Mutex::new(Some(thread)) })
+        Ok(ReactorHandle { ctrl_tx, waker, thread: Some(thread) })
     }
 }
 
@@ -320,16 +321,21 @@ impl Reactor {
         loop {
             let timeout = if backlog { Duration::ZERO } else { self.next_timeout() };
             let _ = self.poll.poll(&mut events, Some(timeout));
+            // Drain the waker before reading anything a wake announces
+            // (stop flag, control channel, node inputs): a wake issued
+            // after this point leaves the eventfd readable and cuts the
+            // next poll short. Drained after those reads, a wake landing
+            // in between would be swallowed and the reactor would sleep
+            // a full IDLE_POLL on work already queued.
+            if events.iter().any(|ev| ev.token() == WAKER_TOKEN) {
+                self.waker.drain();
+            }
             if self.stop.load(Ordering::Relaxed) {
                 break;
             }
             self.drain_ctrl();
             let now = Instant::now();
-            for ev in events.iter() {
-                if ev.token() == WAKER_TOKEN {
-                    self.waker.drain();
-                    continue;
-                }
+            for ev in events.iter().filter(|ev| ev.token() != WAKER_TOKEN) {
                 self.dispatch(ev.token().0, ev.is_readable(), ev.is_writable(), ev.is_error(), now);
             }
             backlog = self.service_nodes(now);
@@ -395,7 +401,7 @@ impl Reactor {
         };
         match src {
             Source::Listener { .. } => node.on_accept_ready(&mut cx),
-            Source::Udp { .. } => node.on_udp_ready(),
+            Source::Udp { .. } => node.on_udp_ready(now),
             Source::Conn { .. } => node.on_conn_ready(&mut cx, token, readable, writable, error),
         }
     }
@@ -470,9 +476,8 @@ enum Hold {
 }
 
 /// One outbound link's state machine plus timers. The reconnect
-/// backoff that used to live in a transient reconnector thread is now
-/// the (`next_attempt`, `attempt_deadline`, `attempt`) triple driven by
-/// the loop's timer sweep.
+/// backoff is the (`next_attempt`, `attempt_deadline`, `attempt`)
+/// triple driven by the loop's timer sweep.
 struct OutLink {
     state: OutState,
     /// Token of the connection carrying this link (connecting or
@@ -504,7 +509,7 @@ enum ConnKind {
     /// Established outbound link: frames coalesce in the `WriteBuf`
     /// and leave in vectored writes on writability.
     Out { to: ServerId, wb: WriteBuf },
-    /// Inbound connection reading its 7-byte handshake.
+    /// Inbound connection reading its handshake.
     InHandshake { buf: [u8; HANDSHAKE_LEN], got: usize },
     /// Established inbound link from predecessor `from`.
     In { from: ServerId, reader: FrameReader },
@@ -516,9 +521,8 @@ struct Conn {
     kind: ConnKind,
 }
 
-/// One node's complete state, owned by exactly one reactor thread —
-/// the old `ProtocolState` plus the socket state machines that used to
-/// be threads.
+/// One node's complete state, owned by exactly one reactor thread:
+/// the protocol core plus its socket state machines and timers.
 struct NodeState {
     id: ServerId,
     key: u64,
@@ -530,19 +534,14 @@ struct NodeState {
     /// per loop iteration (one `writev` per ready link per batch).
     dirty: Vec<ServerId>,
     /// Peer `BCAST`s held back while their round awaits the
-    /// application's submission (see `RuntimeOptions::app_grace`).
+    /// application's submission (see [`APP_GRACE`]).
     deferred: VecDeque<(ServerId, Message)>,
     gate_deadline: Option<Instant>,
-    app_grace: Duration,
+    opts: RuntimeOptions,
     drop_ppm: HashMap<ServerId, u32>,
     drop_rng: u64,
     flip_ppm: HashMap<ServerId, u32>,
     flip_rng: u64,
-    link_grace: Duration,
-    link_queue_high: usize,
-    link_queue_low: usize,
-    connect_attempts: u32,
-    suspect_on_disconnect: bool,
     stats: Arc<LinkStats>,
     adaptive: AdaptiveTimeout,
     /// Live inbound connections per predecessor (a reconnect can
@@ -565,11 +564,10 @@ struct NodeState {
     udp_token: usize,
     hb_frame: [u8; heartbeat::HEARTBEAT_LEN],
     succ_udp: Vec<SocketAddr>,
-    hb_period: Duration,
     fd_poll: Duration,
     next_hb_send: Instant,
     next_fd_check: Instant,
-    hb_table: Arc<HeartbeatTable>,
+    hb_table: HeartbeatTable,
     /// Application hung up or the node was shut down: the reactor reaps
     /// it (closing every socket) at the end of the iteration.
     dead: bool,
@@ -626,7 +624,7 @@ impl NodeState {
                     hold: None,
                     policy: BackoffPolicy::new(
                         opts.connect_backoff,
-                        opts.connect_backoff_cap,
+                        CONNECT_BACKOFF_CAP,
                         link_seed(id, succ),
                     ),
                     addr,
@@ -652,16 +650,11 @@ impl NodeState {
             dirty: Vec::new(),
             deferred: VecDeque::new(),
             gate_deadline: None,
-            app_grace: opts.app_grace,
+            opts,
             drop_ppm: HashMap::new(),
             drop_rng: 0x9e37_79b9_7f4a_7c15 ^ (id as u64 + 1),
             flip_ppm: HashMap::new(),
             flip_rng: 0x6c62_272e_07bb_0142 ^ (id as u64 + 1),
-            link_grace: opts.link_grace,
-            link_queue_high: opts.link_queue_high,
-            link_queue_low: opts.link_queue_low,
-            connect_attempts: opts.connect_attempts,
-            suspect_on_disconnect: opts.suspect_on_disconnect,
             stats,
             adaptive: AdaptiveTimeout::new(opts.fd.timeout, adaptive_cap.max(opts.fd.timeout)),
             reader_counts: HashMap::new(),
@@ -677,16 +670,15 @@ impl NodeState {
             udp_token,
             hb_frame: heartbeat::encode_heartbeat(id),
             succ_udp,
-            hb_period: opts.fd.heartbeat_period,
             fd_poll,
             next_hb_send: cx.now,
             next_fd_check: cx.now + fd_poll,
-            hb_table: HeartbeatTable::new(&predecessors),
+            hb_table: HeartbeatTable::new(&predecessors, cx.now),
             dead: false,
         })
     }
 
-    // --- protocol core (ported from the threaded ProtocolState) -------
+    // --- protocol core --------------------------------------------------
 
     /// Feed one event and act on the outputs. (Payloads submitted
     /// beyond the current round queue inside the state machine and open
@@ -825,7 +817,7 @@ impl NodeState {
         }
         if self.deferred.iter().any(|&(f, _)| f == from) || self.gated(&msg) {
             if self.gate_deadline.is_none() {
-                self.gate_deadline = Some(Instant::now() + self.app_grace);
+                self.gate_deadline = Some(Instant::now() + APP_GRACE);
             }
             self.deferred.push_back((from, msg));
         } else {
@@ -869,7 +861,7 @@ impl NodeState {
         if self.deferred.is_empty() {
             self.gate_deadline = None;
         } else if self.gate_deadline.is_none() {
-            self.gate_deadline = Some(Instant::now() + self.app_grace);
+            self.gate_deadline = Some(Instant::now() + APP_GRACE);
         }
     }
 
@@ -895,16 +887,8 @@ impl NodeState {
         if *count > 0 {
             return;
         }
-        if self.link_grace.is_zero() {
-            // Degenerate configuration: the pre-resilience immediate
-            // suspicion path.
-            if self.suspect_on_disconnect {
-                self.stats.on_suspicion();
-                self.process(Event::Suspect { suspect: from });
-            }
-            return;
-        }
-        self.reader_grace.entry(from).or_insert_with(|| Instant::now() + self.link_grace);
+        let grace = self.opts.link_grace;
+        self.reader_grace.entry(from).or_insert_with(|| Instant::now() + grace);
     }
 
     // --- input channel -------------------------------------------------
@@ -940,27 +924,34 @@ impl NodeState {
                 self.process(Event::Suspect { suspect: s })
             }
             NodeInput::SetWindow(w) => self.server.set_round_window(w),
-            NodeInput::SetLinkDrop { to, ppm } => {
-                if ppm == 0 {
-                    self.drop_ppm.remove(&to);
-                } else {
-                    self.drop_ppm.insert(to, ppm);
-                }
-            }
-            NodeInput::SetLinkFlip { to, ppm } => {
-                if ppm == 0 {
-                    self.flip_ppm.remove(&to);
-                } else {
-                    self.flip_ppm.insert(to, ppm);
-                }
-            }
-            NodeInput::LinkDown { to } => self.fault_hold(cx, to, Hold::Manual),
-            NodeInput::LinkFlap { to, down_for } => {
-                self.fault_hold(cx, to, Hold::Until(cx.now + down_for))
-            }
-            NodeInput::LinkUp { to } => self.heal_link(cx, to),
+            NodeInput::Fault { to, fault } => self.apply_fault(cx, to, fault),
         }
         self.release_deferred(false);
+    }
+
+    /// Apply one injected fault to the outbound link to `to`.
+    fn apply_fault(&mut self, cx: &mut Cx<'_>, to: ServerId, fault: LinkFault) {
+        // A zero rate removes the entry, so a cleared link skips the
+        // sampler entirely.
+        fn set_rate(table: &mut HashMap<ServerId, u32>, to: ServerId, ppm: u32) {
+            if ppm == 0 {
+                table.remove(&to);
+            } else {
+                table.insert(to, ppm);
+            }
+        }
+        match fault {
+            LinkFault::Drop { ppm } => set_rate(&mut self.drop_ppm, to, ppm),
+            LinkFault::Flip { ppm } => set_rate(&mut self.flip_ppm, to, ppm),
+            LinkFault::Down => self.fault_hold(cx, to, Hold::Manual),
+            LinkFault::Flap { down_for } => self.fault_hold(cx, to, Hold::Until(cx.now + down_for)),
+            LinkFault::Up => self.heal_link(cx, to),
+            LinkFault::Clear => {
+                set_rate(&mut self.drop_ppm, to, 0);
+                set_rate(&mut self.flip_ppm, to, 0);
+                self.heal_link(cx, to);
+            }
+        }
     }
 
     // --- readiness handlers --------------------------------------------
@@ -1009,13 +1000,13 @@ impl NodeState {
         }
     }
 
-    fn on_udp_ready(&mut self) {
+    fn on_udp_ready(&mut self, now: Instant) {
         let mut buf = [0u8; 16];
         loop {
             match self.udp.recv_from(&mut buf) {
                 Ok((n, _)) => {
                     if let Some(from) = heartbeat::decode_heartbeat(&buf[..n]) {
-                        self.hb_table.record(from);
+                        self.hb_table.record(from, now);
                     }
                     // else: malformed datagram, drop
                 }
@@ -1200,11 +1191,8 @@ impl NodeState {
                     }
                 }
                 if result.is_none() && *got == HANDSHAKE_LEN {
-                    result = if buf[..2] == HANDSHAKE_MAGIC && buf[2] == WIRE_VERSION {
-                        Some(Some(ServerId::from_le_bytes([buf[3], buf[4], buf[5], buf[6]])))
-                    } else {
-                        Some(None) // bad magic/version: drop the conn
-                    };
+                    // Bad magic/version: drop the conn.
+                    result = Some(parse_handshake(buf).ok());
                 }
             }
         }
@@ -1320,7 +1308,7 @@ impl NodeState {
     /// jitter, so reconnect storms de-phase) or, for an initial connect
     /// that exhausted its attempt budget, drop the link to Down.
     fn schedule_retry(&mut self, cx: &mut Cx<'_>, to: ServerId) {
-        let cap = self.connect_attempts.max(1);
+        let cap = self.opts.connect_attempts.max(1);
         let now = cx.now;
         let mut exhausted = false;
         if let Some(link) = self.links.get_mut(&to) {
@@ -1358,7 +1346,7 @@ impl NodeState {
         }
         self.dirty.retain(|&d| d != to);
         let now = cx.now;
-        let grace = self.link_grace;
+        let grace = self.opts.link_grace;
         let mut shed = 0u64;
         if let Some(link) = self.links.get_mut(&to) {
             link.conn = None;
@@ -1411,7 +1399,7 @@ impl NodeState {
     /// FIN — an under-grace hold is lossless end to end.
     fn fault_hold(&mut self, cx: &mut Cx<'_>, to: ServerId, hold: Hold) {
         let Some(state) = self.links.get(&to).map(|l| l.state) else { return };
-        let (high, low) = (self.link_queue_high, self.link_queue_low);
+        let (high, low) = (self.opts.link_queue_high, self.opts.link_queue_low);
         match state {
             OutState::Connected => {
                 if let Some(tok) = self.links.get(&to).and_then(|l| l.conn) {
@@ -1483,8 +1471,8 @@ impl NodeState {
     /// Heal a fault-held link: resume the grace clock and reconnect.
     fn heal_link(&mut self, cx: &mut Cx<'_>, to: ServerId) {
         let now = cx.now;
-        let grace = self.link_grace;
-        let (high, low) = (self.link_queue_high, self.link_queue_low);
+        let grace = self.opts.link_grace;
+        let (high, low) = (self.opts.link_queue_high, self.opts.link_queue_low);
         let mut degraded_stat = false;
         if let Some(link) = self.links.get_mut(&to) {
             if link.hold.is_none() {
@@ -1646,12 +1634,10 @@ impl NodeState {
             self.reader_grace.iter().filter(|(_, &d)| d <= now).map(|(&k, _)| k).collect();
         for from in suspects {
             self.reader_grace.remove(&from);
-            if self.suspect_on_disconnect {
-                self.stats.on_suspicion();
-                self.process(Event::Suspect { suspect: from });
-                if self.dead {
-                    return;
-                }
+            self.stats.on_suspicion();
+            self.process(Event::Suspect { suspect: from });
+            if self.dead {
+                return;
             }
         }
         // App-grace gate expiry.
@@ -1710,12 +1696,12 @@ impl NodeState {
                 // Best-effort: heartbeats are unreliable by design.
                 let _ = self.udp.send_to(&self.hb_frame, addr);
             }
-            self.next_hb_send = now + self.hb_period;
+            self.next_hb_send = now + self.opts.fd.heartbeat_period;
         }
         // FD expiry sweep (Δ_hb/2), using the adaptive ◇P timeout.
         if self.next_fd_check <= now {
             self.next_fd_check = now + self.fd_poll;
-            for s in self.hb_table.expired(self.adaptive.current()) {
+            for s in self.hb_table.expired(now, self.adaptive.current()) {
                 self.process(Event::Suspect { suspect: s });
                 if self.dead {
                     return;

@@ -2,17 +2,16 @@
 //!
 //! "The failure detector is implemented over unreliable datagrams" (§5).
 //! Every server sends a heartbeat datagram to each overlay successor with
-//! period `Δ_hb`; a monitor thread tracks the last heartbeat heard from
-//! each overlay predecessor and raises a suspicion after `Δ_to` of
-//! silence — completeness by construction, accuracy probabilistic
-//! (the model in [`allconcur_core::fd`]).
+//! period `Δ_hb`; the node's reactor ([`crate::event_loop`]) tracks the
+//! last heartbeat heard from each overlay predecessor and raises a
+//! suspicion after `Δ_to` of silence — completeness by construction,
+//! accuracy probabilistic (the model in [`allconcur_core::fd`]). This
+//! module holds the datagram format and the two pieces of detector
+//! state the reactor owns; emission and the expiry sweep are timer
+//! entries on the loop.
 
 use allconcur_core::ServerId;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Heartbeat datagram: magic + sender id.
@@ -22,9 +21,6 @@ const MAGIC: [u8; 4] = *b"ACHB";
 pub const HEARTBEAT_LEN: usize = 8;
 
 /// Encode the heartbeat datagram `id` sends to its successors.
-///
-/// The thread-based sender below and the event-loop runtime (which folds
-/// heartbeat emission into its timer wheel) share this one encoding.
 pub fn encode_heartbeat(id: ServerId) -> [u8; HEARTBEAT_LEN] {
     let mut buf = [0u8; HEARTBEAT_LEN];
     buf[..4].copy_from_slice(&MAGIC);
@@ -75,211 +71,47 @@ impl FdParams {
     }
 }
 
-/// Shared last-heard table, written by the receive thread and read by the
-/// monitor thread.
+/// Last-heard table of one node's overlay predecessors. Owned by the
+/// node's reactor — the only thread that touches it — so every method
+/// takes the loop iteration's timestamp instead of reading the clock.
 #[derive(Debug, Default)]
 pub struct HeartbeatTable {
-    last_heard: Mutex<HashMap<ServerId, Instant>>,
+    last_heard: HashMap<ServerId, Instant>,
 }
 
 impl HeartbeatTable {
-    /// Fresh table; predecessors are considered "heard" at registration so
+    /// Fresh table; predecessors are considered "heard" at `now` so
     /// startup does not generate spurious suspicions.
-    pub fn new(predecessors: &[ServerId]) -> Arc<Self> {
-        let now = Instant::now();
-        let table = HeartbeatTable {
-            last_heard: Mutex::new(predecessors.iter().map(|&p| (p, now)).collect()),
-        };
-        Arc::new(table)
+    pub fn new(predecessors: &[ServerId], now: Instant) -> Self {
+        HeartbeatTable { last_heard: predecessors.iter().map(|&p| (p, now)).collect() }
     }
 
-    /// Record a heartbeat from `from`.
-    pub fn record(&self, from: ServerId) {
-        if let Some(slot) = self.last_heard.lock().get_mut(&from) {
-            *slot = Instant::now();
+    /// Record a heartbeat from `from`, heard at `now`.
+    pub fn record(&mut self, from: ServerId, now: Instant) {
+        if let Some(slot) = self.last_heard.get_mut(&from) {
+            *slot = now;
         }
     }
 
-    /// Predecessors silent for longer than `timeout`. Each is reported
-    /// once: expired entries are removed so the monitor does not re-fire.
-    pub fn expired(&self, timeout: Duration) -> Vec<ServerId> {
-        let mut guard = self.last_heard.lock();
-        let now = Instant::now();
-        let dead: Vec<ServerId> = guard
+    /// Predecessors silent for longer than `timeout` as of `now`. Each
+    /// is reported once: expired entries are removed so the sweep does
+    /// not re-fire.
+    pub fn expired(&mut self, now: Instant, timeout: Duration) -> Vec<ServerId> {
+        let dead: Vec<ServerId> = self
+            .last_heard
             .iter()
             .filter(|(_, &t)| now.duration_since(t) > timeout)
             .map(|(&p, _)| p)
             .collect();
         for p in &dead {
-            guard.remove(p);
+            self.last_heard.remove(p);
         }
         dead
     }
 
     /// Stop monitoring `p` (it was tagged failed by the protocol).
-    pub fn forget(&self, p: ServerId) {
-        self.last_heard.lock().remove(&p);
-    }
-}
-
-/// Heartbeat sender: periodically fires one datagram per successor until
-/// stopped. Returns the join handle, or the spawn error (thread
-/// exhaustion) for the caller to surface as a startup failure.
-pub fn spawn_sender(
-    socket: UdpSocket,
-    id: ServerId,
-    successors: Vec<SocketAddr>,
-    params: FdParams,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new().name(format!("ac-hb-send-{id}")).spawn(move || {
-        let buf = encode_heartbeat(id);
-        while !stop.load(Ordering::Relaxed) {
-            for addr in &successors {
-                // Best-effort: heartbeats are unreliable by design.
-                let _ = socket.send_to(&buf, addr);
-            }
-            std::thread::sleep(params.heartbeat_period);
-        }
-    })
-}
-
-/// Heartbeat receiver: records arrivals into the table until stopped.
-pub fn spawn_receiver(
-    socket: UdpSocket,
-    id: ServerId,
-    table: Arc<HeartbeatTable>,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-    std::thread::Builder::new().name(format!("ac-hb-recv-{id}")).spawn(move || {
-        let mut buf = [0u8; 16];
-        while !stop.load(Ordering::Relaxed) {
-            match socket.recv_from(&mut buf) {
-                Ok((n, _)) => {
-                    if let Some(from) = decode_heartbeat(&buf[..n]) {
-                        table.record(from);
-                    }
-                    // else: malformed datagram, drop
-                }
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => break, // socket closed
-            }
-        }
-    })
-}
-
-/// Monitor: polls the table every `poll` and reports expirations
-/// through `on_suspect` until stopped.
-///
-/// The suspicion timeout is read from `timeout` on every poll — the
-/// runtime shares the same [`AdaptiveTimeout`] with its link-healing
-/// path, so every flap that heals under grace grows `Δ_to` (the §3.3.2
-/// ◇P recipe) and the monitor's next decision uses the grown value.
-pub fn spawn_monitor<F>(
-    id: ServerId,
-    table: Arc<HeartbeatTable>,
-    poll: Duration,
-    timeout: Arc<AdaptiveTimeout>,
-    stop: Arc<AtomicBool>,
-    on_suspect: F,
-) -> std::io::Result<std::thread::JoinHandle<()>>
-where
-    F: Fn(ServerId) + Send + 'static,
-{
-    std::thread::Builder::new().name(format!("ac-fd-{id}")).spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            for suspect in table.expired(timeout.current()) {
-                on_suspect(suspect);
-            }
-            std::thread::sleep(poll);
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_records_and_expires() {
-        let table = HeartbeatTable::new(&[1, 2]);
-        table.record(1);
-        std::thread::sleep(Duration::from_millis(30));
-        table.record(2);
-        let dead = table.expired(Duration::from_millis(20));
-        assert_eq!(dead, vec![1]);
-        // Reported once only.
-        assert!(table.expired(Duration::from_millis(20)).is_empty());
-    }
-
-    #[test]
-    fn forget_removes_monitoring() {
-        let table = HeartbeatTable::new(&[3]);
-        table.forget(3);
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(table.expired(Duration::from_millis(1)).is_empty());
-    }
-
-    #[test]
-    fn unknown_sender_ignored() {
-        let table = HeartbeatTable::new(&[1]);
-        table.record(99); // not a predecessor: no panic, no entry
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(table.expired(Duration::from_millis(1)), vec![1]);
-    }
-
-    #[test]
-    fn end_to_end_heartbeats_over_udp() {
-        // Server 0 sends to server 1; killing the sender triggers the
-        // monitor exactly once.
-        let sock0 = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let sock1 = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let addr1 = sock1.local_addr().unwrap();
-        let params = FdParams {
-            heartbeat_period: Duration::from_millis(5),
-            timeout: Duration::from_millis(50),
-        };
-
-        let stop_send = Arc::new(AtomicBool::new(false));
-        let sender = spawn_sender(sock0, 0, vec![addr1], params, stop_send.clone()).unwrap();
-
-        let table = HeartbeatTable::new(&[0]);
-        let stop_recv = Arc::new(AtomicBool::new(false));
-        let receiver = spawn_receiver(sock1, 1, table.clone(), stop_recv.clone()).unwrap();
-
-        let suspected = Arc::new(Mutex::new(Vec::new()));
-        let suspected2 = suspected.clone();
-        let stop_mon = Arc::new(AtomicBool::new(false));
-        let adaptive = Arc::new(AdaptiveTimeout::new(params.timeout, params.timeout));
-        let monitor = spawn_monitor(
-            1,
-            table,
-            params.heartbeat_period / 2,
-            adaptive,
-            stop_mon.clone(),
-            move |s| {
-                suspected2.lock().push(s);
-            },
-        )
-        .unwrap();
-
-        // Healthy phase: no suspicion.
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(suspected.lock().is_empty(), "live sender must not be suspected");
-
-        // Kill the sender; suspicion within ~Δ_to + slack.
-        stop_send.store(true, Ordering::Relaxed);
-        sender.join().unwrap();
-        std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(suspected.lock().as_slice(), &[0], "dead sender must be suspected once");
-
-        stop_recv.store(true, Ordering::Relaxed);
-        stop_mon.store(true, Ordering::Relaxed);
-        receiver.join().unwrap();
-        monitor.join().unwrap();
+    pub fn forget(&mut self, p: ServerId) {
+        self.last_heard.remove(&p);
     }
 }
 
@@ -293,7 +125,7 @@ mod tests {
 /// each report grows the timeout multiplicatively up to a cap.
 #[derive(Debug)]
 pub struct AdaptiveTimeout {
-    current: Mutex<Duration>,
+    current: Duration,
     growth_num: u32,
     growth_den: u32,
     max: Duration,
@@ -304,32 +136,64 @@ impl AdaptiveTimeout {
     /// `max`.
     pub fn new(initial: Duration, max: Duration) -> Self {
         assert!(initial <= max, "initial timeout above cap");
-        AdaptiveTimeout { current: Mutex::new(initial), growth_num: 3, growth_den: 2, max }
+        AdaptiveTimeout { current: initial, growth_num: 3, growth_den: 2, max }
     }
 
     /// The timeout to use for the next suspicion decision.
     pub fn current(&self) -> Duration {
-        *self.current.lock()
+        self.current
     }
 
     /// Evidence of a false suspicion: grow the timeout. Returns the new
     /// value.
-    pub fn report_false_suspicion(&self) -> Duration {
-        let mut cur = self.current.lock();
-        let grown =
-            cur.checked_mul(self.growth_num).map(|d| d / self.growth_den).unwrap_or(self.max);
-        *cur = grown.min(self.max);
-        *cur
+    pub fn report_false_suspicion(&mut self) -> Duration {
+        let grown = self
+            .current
+            .checked_mul(self.growth_num)
+            .map(|d| d / self.growth_den)
+            .unwrap_or(self.max);
+        self.current = grown.min(self.max);
+        self.current
     }
 }
 
 #[cfg(test)]
-mod adaptive_tests {
+mod tests {
     use super::*;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn table_records_and_expires() {
+        let t0 = Instant::now();
+        let mut table = HeartbeatTable::new(&[1, 2], t0);
+        table.record(1, t0);
+        table.record(2, t0 + 30 * MS);
+        let dead = table.expired(t0 + 30 * MS, 20 * MS);
+        assert_eq!(dead, vec![1]);
+        // Reported once only.
+        assert!(table.expired(t0 + 30 * MS, 20 * MS).is_empty());
+    }
+
+    #[test]
+    fn forget_removes_monitoring() {
+        let t0 = Instant::now();
+        let mut table = HeartbeatTable::new(&[3], t0);
+        table.forget(3);
+        assert!(table.expired(t0 + 5 * MS, MS).is_empty());
+    }
+
+    #[test]
+    fn unknown_sender_ignored() {
+        let t0 = Instant::now();
+        let mut table = HeartbeatTable::new(&[1], t0);
+        table.record(99, t0 + 5 * MS); // not a predecessor: no panic, no entry
+        assert_eq!(table.expired(t0 + 5 * MS, MS), vec![1]);
+    }
 
     #[test]
     fn grows_multiplicatively_to_cap() {
-        let at = AdaptiveTimeout::new(Duration::from_millis(100), Duration::from_secs(2));
+        let mut at = AdaptiveTimeout::new(Duration::from_millis(100), Duration::from_secs(2));
         assert_eq!(at.current(), Duration::from_millis(100));
         assert_eq!(at.report_false_suspicion(), Duration::from_millis(150));
         assert_eq!(at.report_false_suspicion(), Duration::from_millis(225));
@@ -349,7 +213,7 @@ mod adaptive_tests {
     fn eventually_exceeds_any_bounded_delay() {
         // The ◇P property: for any (unknown) true message-delay bound,
         // enough false suspicions push Δ_to above it permanently.
-        let at = AdaptiveTimeout::new(Duration::from_millis(10), Duration::from_secs(3600));
+        let mut at = AdaptiveTimeout::new(Duration::from_millis(10), Duration::from_secs(3600));
         let true_delay_bound = Duration::from_millis(750);
         let mut reports = 0;
         while at.current() <= true_delay_bound {

@@ -9,19 +9,26 @@
 //! over real `std::net` sockets on an epoll-driven reactor pool, with
 //! one OS process hosting one or more servers.
 //!
-//! * [`codec`] — length-prefixed framing of protocol messages plus the
-//!   connection handshake;
+//! There is one runtime model: everything a server does runs on its
+//! reactor thread, so no module here blocks, sleeps, or locks.
+//!
+//! * [`codec`] — length-prefixed, CRC-checked framing of protocol
+//!   messages and the connection handshake (the only module that knows
+//!   either byte layout);
 //! * [`event_loop`] — the epoll reactor pool: per-link readiness state
 //!   machines, coalesced vectored writes, timer-driven reconnect
-//!   backoff, heartbeat emission, and FD sweeps, all on O(cores)
-//!   threads;
+//!   backoff, heartbeat emission, FD sweeps, and injected link faults,
+//!   all on O(cores) threads;
 //! * [`runtime`] — per-server handle: registers a server with a
 //!   reactor and owns the application-facing channels (broadcast in,
-//!   deliveries out) plus the fault-injection surface;
-//! * [`heartbeat`] — UDP heartbeats and the timeout-based failure
-//!   detector (`Δ_hb` / `Δ_to`, §3.2) with the §3.3.2 adaptive timeout;
-//!   connection loss escalates to a suspicion only after the link-grace
-//!   budget expires without a reconnect;
+//!   deliveries out), the [`RuntimeOptions`](runtime::RuntimeOptions)
+//!   knobs, and the one fault-injection call
+//!   ([`LinkFault`]);
+//! * [`heartbeat`] — the heartbeat datagram and the reactor-owned state
+//!   of the timeout-based failure detector (`Δ_hb` / `Δ_to`, §3.2)
+//!   with the §3.3.2 adaptive timeout; connection loss escalates to a
+//!   suspicion only after the link-grace budget expires without a
+//!   reconnect;
 //! * [`link`] — per-link resilience primitives: capped-backoff-with-
 //!   jitter reconnect policy, bounded watermarked frame queues, the
 //!   coalescing write buffer, and the resilience counters;
@@ -41,3 +48,4 @@ pub mod link;
 pub mod runtime;
 
 pub use cluster::LocalCluster;
+pub use runtime::LinkFault;

@@ -8,8 +8,6 @@
 //!
 //! * [`BackoffPolicy`] — capped exponential backoff with deterministic
 //!   seeded jitter, shared by initial connects and reconnects;
-//! * [`ConnectError`] — typed connect failure carrying the attempt
-//!   count;
 //! * [`FrameQueue`] — the bounded per-link outbound buffer with
 //!   high/low watermark hysteresis that keeps Degraded memory-safe;
 //! * [`WriteBuf`] — the Connected-side outbound buffer of the event
@@ -24,7 +22,6 @@
 
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::fmt;
 use std::io::{self, IoSlice, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -76,64 +73,6 @@ impl BackoffPolicy {
         let jitter = xorshift_star(self.seed ^ u64::from(attempt).wrapping_add(1)) % (exp / 2 + 1);
         Duration::from_nanos(exp.saturating_add(jitter))
     }
-}
-
-/// Typed connect failure: how many attempts were made and the last
-/// underlying I/O error. Convertible back to [`std::io::Error`] (same
-/// kind, this as the source) for callers that only speak `io::Result`.
-#[derive(Debug)]
-pub struct ConnectError {
-    /// Number of connection attempts made before giving up.
-    pub attempts: u32,
-    /// The error from the final attempt.
-    pub last: std::io::Error,
-}
-
-impl fmt::Display for ConnectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "connect failed after {} attempts: {}", self.attempts, self.last)
-    }
-}
-
-impl std::error::Error for ConnectError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.last)
-    }
-}
-
-impl From<ConnectError> for std::io::Error {
-    fn from(e: ConnectError) -> std::io::Error {
-        std::io::Error::new(e.last.kind(), e)
-    }
-}
-
-/// Connect to `addr`, retrying under `policy` for up to `attempts`
-/// attempts (clamped to ≥ 1). Used both for the runtime's initial
-/// successor connections and — via the same policy — its Degraded-link
-/// reconnects, so the two paths share one backoff behaviour.
-///
-/// On exhaustion returns a [`ConnectError`] carrying the attempt count
-/// and the last underlying error.
-pub fn connect_with_retry(
-    addr: std::net::SocketAddr,
-    attempts: u32,
-    policy: &BackoffPolicy,
-) -> Result<std::net::TcpStream, ConnectError> {
-    let attempts = attempts.max(1);
-    let mut last: Option<std::io::Error> = None;
-    for k in 0..attempts {
-        match std::net::TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = Some(e),
-        }
-        if k + 1 < attempts {
-            std::thread::sleep(policy.delay(k));
-        }
-    }
-    Err(ConnectError {
-        attempts,
-        last: last.unwrap_or_else(|| std::io::Error::other("connect made no attempts")),
-    })
 }
 
 /// Bounded per-link outbound frame buffer with high/low watermark
@@ -383,7 +322,7 @@ impl WriteBuf {
 }
 
 /// Atomic resilience counters for one runtime, shared between the
-/// protocol thread (writes) and observers (tests, nemesis reports, CI
+/// node's reactor (writes) and observers (tests, nemesis reports, CI
 /// failure dumps).
 #[derive(Debug, Default)]
 pub struct LinkStats {
@@ -650,18 +589,6 @@ mod tests {
         let frames = wb.take_frames();
         assert_eq!(frames, vec![Bytes::from_static(b"abcdef"), Bytes::from_static(b"ghi")]);
         assert!(wb.is_empty());
-    }
-
-    #[test]
-    fn connect_error_converts_to_io() {
-        let e = ConnectError {
-            attempts: 7,
-            last: std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "nope"),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("7 attempts"), "{msg}");
-        let io: std::io::Error = e.into();
-        assert_eq!(io.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! event-loop thread per server process, as deployed in the paper);
 //! [`crate::cluster::LocalCluster`] shares one pool across every
 //! in-process node via [`NodeRuntime::start_on`], keeping the whole
-//! cluster at O(cores) threads instead of the old O(n·d).
+//! cluster at O(cores) threads.
 //!
 //! Message flow direction matches the overlay: a server *connects out*
 //! to its successors (it sends to them) and *accepts in* from its
@@ -51,69 +51,89 @@ use std::time::Duration;
 /// One completed round, as seen by the application.
 ///
 /// Re-exported from `allconcur-core` so every transport shares one
-/// outcome type (it used to be defined here).
+/// outcome type.
 pub use allconcur_core::delivery::Delivery;
 
-/// Inputs multiplexed into a node's reactor. Network frames no longer
+/// A fault injected on one directed outbound link `from → to`, applied
+/// by `from`'s reactor in its writer path and per-link state machine.
+/// One vocabulary from [`crate::cluster::LocalCluster::inject_fault`]
+/// down to the reactor: nothing in between re-spells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkFault {
+    /// Drop outgoing protocol frames with probability `ppm / 1e6` (`0`
+    /// clears the fault). The frame is simply never written, so the TCP
+    /// connection stays up and UDP heartbeats keep flowing: this is
+    /// *message loss*, not a disconnect, and the deployment survives it
+    /// through the overlay's redundant dissemination paths.
+    Drop {
+        /// Drop probability in parts-per-million.
+        ppm: u32,
+    },
+    /// Flip one bit of a copy of each sampled outgoing frame with
+    /// probability `ppm / 1e6` (`0` clears the fault). The receiver's
+    /// CRC check must reject the frame and heal the link — the flip
+    /// must never surface as a delivered payload (the
+    /// `SilentCorruption` nemesis property).
+    Flip {
+        /// Corruption probability in parts-per-million.
+        ppm: u32,
+    },
+    /// Sever the link and hold it down until [`LinkFault::Up`]. Pending
+    /// writes are flushed first (TCP delivers them with the FIN), then
+    /// outbound frames buffer in the bounded Degraded queue for replay
+    /// on heal.
+    Down,
+    /// Like [`LinkFault::Down`], but the link auto-heals after
+    /// `down_for`.
+    Flap {
+        /// Outage duration before the auto-heal.
+        down_for: Duration,
+    },
+    /// Heal a held-down link and start reconnecting immediately.
+    Up,
+    /// Remove every injected fault from the link: drop and flip rates
+    /// reset to zero, a hold heals.
+    Clear,
+}
+
+/// Inputs multiplexed into a node's reactor. Network frames do not
 /// travel through here — the reactor decodes them in place; this
 /// channel carries only application- and fault-injection-side inputs.
 pub(crate) enum NodeInput {
     Broadcast(Bytes),
     Suspect(ServerId),
     SetWindow(usize),
-    SetLinkDrop {
-        to: ServerId,
-        ppm: u32,
-    },
-    /// Fault injection: flip one bit per sampled outgoing frame to `to`
-    /// (parts-per-million, like [`NodeInput::SetLinkDrop`]).
-    SetLinkFlip {
-        to: ServerId,
-        ppm: u32,
-    },
-    /// Fault injection: hold the outbound link to `to` down until
-    /// healed by [`NodeInput::LinkUp`].
-    LinkDown {
-        to: ServerId,
-    },
-    /// Fault injection: hold the outbound link down for `down_for`,
-    /// then auto-heal.
-    LinkFlap {
-        to: ServerId,
-        down_for: Duration,
-    },
-    /// Fault injection: heal a held-down link.
-    LinkUp {
-        to: ServerId,
-    },
+    Fault { to: ServerId, fault: LinkFault },
 }
 
 /// Drop rates are parts-per-million, matching the simulator's fault
 /// layer.
 pub(crate) const DROP_PPM_SCALE: u64 = 1_000_000;
 
-/// Runtime tuning knobs.
+/// Capacity of a node's input channel. [`NodeRuntime::broadcast`] fails
+/// fast when it fills, surfacing saturation to the application as a
+/// typed `Busy` upstream.
+const INPUT_QUEUE_DEPTH: usize = 4096;
+
+/// Runtime tuning knobs — the ones some caller or test sets to a
+/// non-default value (see `DESIGN.md` § "Transport resilience" for why
+/// each varies). Everything else about the runtime is a constant next
+/// to the code that uses it.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeOptions {
     /// FD timing.
     pub fd: FdParams,
-    /// Escalate a predecessor's TCP disconnect into a suspicion once
-    /// the `link_grace` budget expires without a reconnect (sound under
-    /// fail-stop because healthy overlay connections are never closed
-    /// for long; much faster than waiting `Δ_to` for genuinely dead
-    /// peers).
-    pub suspect_on_disconnect: bool,
     /// Retry budget while establishing successor connections.
     pub connect_attempts: u32,
     /// Base delay of the capped-exponential connect/reconnect backoff
     /// (see [`crate::link::BackoffPolicy`]).
     pub connect_backoff: Duration,
-    /// Cap on the exponential backoff component.
-    pub connect_backoff_cap: Duration,
     /// How long a disconnected link (either direction) may stay in its
     /// grace period before escalating: a Degraded writer drops to Down
-    /// and a reader disconnect becomes a suspicion. Under-budget flaps
-    /// heal with zero protocol impact.
+    /// and a predecessor's TCP disconnect becomes a suspicion (sound
+    /// under fail-stop because healthy overlay connections are never
+    /// closed for long; much faster than waiting `Δ_to` for genuinely
+    /// dead peers). Under-budget flaps heal with zero protocol impact.
     pub link_grace: Duration,
     /// High watermark of each Degraded link's bounded frame queue:
     /// above it, new frames are shed (counted) instead of buffered.
@@ -121,59 +141,24 @@ pub struct RuntimeOptions {
     /// Low watermark: a saturated queue resumes accepting only after
     /// draining below this (hysteresis).
     pub link_queue_low: usize,
-    /// Capacity of the node's input channel.
-    /// [`NodeRuntime::broadcast`] fails fast when it fills, surfacing
-    /// saturation to the application as a typed `Busy` upstream.
-    pub input_queue_depth: usize,
-    /// How long the protocol holds back peers' `BCAST`s for a round
-    /// the application has not submitted a payload for yet.
-    ///
-    /// Without the gate, a peer's round-`r` broadcast racing ahead of the
-    /// local `broadcast()` call makes Algorithm 1 line 15 answer with an
-    /// *empty* message and silently defers the application's payload to
-    /// round `r+1`. Submitting before or promptly after a round opens
-    /// (as [`crate::cluster::LocalCluster::run_round`] and the `Cluster`
-    /// facade do) never hits the deadline; a server left without a
-    /// submission falls back to the empty broadcast after the grace, so
-    /// liveness is preserved.
-    ///
-    /// The gate is **round-aware**: a `BCAST` is held back only while
-    /// its round is genuinely unsubmitted — at or past
-    /// [`allconcur_core::server::Server::next_unsubmitted_round`], i.e.
-    /// the application has neither broadcast nor queued a payload
-    /// covering it. Rounds the application already submitted ahead for
-    /// (pipelined submissions under a `round_window > 1`) flow through
-    /// undelayed, so the grace costs pipelined workloads nothing.
-    pub app_grace: Duration,
     /// Round-pipelining window `W` (default 1 — sequential rounds): how
     /// many consecutive rounds each server keeps in flight. Larger
     /// windows let dissemination of round `r + 1` proceed while round
     /// `r` completes, amortising the network round-trip — rounds/sec
     /// scales with `W` until CPU-bound (see the `tcp_rounds` bench).
     pub round_window: usize,
-    /// Reactor threads a standalone [`NodeRuntime::start`] spins up for
-    /// its private pool (`0` = one, the paper's one-loop-per-server
-    /// shape). Nodes started on a shared pool via
-    /// [`NodeRuntime::start_on`] ignore this —
-    /// [`crate::cluster::LocalCluster`] sizes its pool `min(cores, n)`.
-    pub loop_threads: usize,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
             fd: FdParams::fast(),
-            suspect_on_disconnect: true,
             connect_attempts: 100,
             connect_backoff: Duration::from_millis(10),
-            connect_backoff_cap: Duration::from_millis(160),
             link_grace: Duration::from_millis(400),
             link_queue_high: 1024,
             link_queue_low: 256,
-            input_queue_depth: 4096,
-            app_grace: Duration::from_millis(400),
             round_window: 1,
-            loop_threads: 0,
         }
     }
 }
@@ -218,7 +203,7 @@ impl NodeRuntime {
         udp_addrs: Vec<SocketAddr>,
         opts: RuntimeOptions,
     ) -> std::io::Result<NodeRuntime> {
-        let pool = EventLoopPool::new(opts.loop_threads.max(1))?;
+        let pool = EventLoopPool::new(1)?;
         NodeRuntime::start_on(&pool, id, cfg, listener, udp, tcp_addrs, udp_addrs, opts)
     }
 
@@ -236,7 +221,7 @@ impl NodeRuntime {
         udp_addrs: Vec<SocketAddr>,
         opts: RuntimeOptions,
     ) -> std::io::Result<NodeRuntime> {
-        let (input_tx, input_rx) = bounded::<NodeInput>(opts.input_queue_depth.max(8));
+        let (input_tx, input_rx) = bounded::<NodeInput>(INPUT_QUEUE_DEPTH);
         // Deliveries are consumed by the application at its own pace and
         // must never stall the reactor mid-round.
         // lint:allow(bounded_queues): delivery backlog is bounded upstream by rsm admission control; blocking the protocol thread on a slow application consumer would deadlock rounds cluster-wide
@@ -310,45 +295,10 @@ impl NodeRuntime {
         self.send_input(NodeInput::SetWindow(window));
     }
 
-    /// Drop outgoing protocol frames to successor `to` with probability
-    /// `ppm / 1e6` (`0` clears the fault). The drop happens in the
-    /// writer path — the frame is simply never written — so the TCP
-    /// connection stays up and UDP heartbeats keep flowing: this
-    /// injects *message loss*, not a disconnect, and the deployment
-    /// survives it through the overlay's redundant dissemination paths.
-    pub fn set_link_drop(&self, to: ServerId, ppm: u32) {
-        self.send_input(NodeInput::SetLinkDrop { to, ppm });
-    }
-
-    /// Corrupt outgoing protocol frames to successor `to` with
-    /// probability `ppm / 1e6` (`0` clears the fault): one bit of the
-    /// sampled frame's copy is flipped before it is written. The
-    /// receiver's CRC check must reject the frame and heal the link —
-    /// the flip must never surface as a delivered payload (the
-    /// `SilentCorruption` nemesis property).
-    pub fn set_link_flip(&self, to: ServerId, ppm: u32) {
-        self.send_input(NodeInput::SetLinkFlip { to, ppm });
-    }
-
-    /// Fault injection: sever the outbound link to `to` and hold it
-    /// down until [`NodeRuntime::link_up`]. Pending writes are flushed
-    /// first (TCP delivers them with the FIN), then outbound frames
-    /// buffer in the bounded Degraded queue for replay on heal.
-    pub fn link_down(&self, to: ServerId) {
-        self.send_input(NodeInput::LinkDown { to });
-    }
-
-    /// Fault injection: like [`NodeRuntime::link_down`], but the link
-    /// auto-heals after `down_for`.
-    pub fn link_flap(&self, to: ServerId, down_for: Duration) {
-        self.send_input(NodeInput::LinkFlap { to, down_for });
-    }
-
-    /// Fault injection: heal a link held down by
-    /// [`NodeRuntime::link_down`]/[`NodeRuntime::link_flap`] and start
-    /// reconnecting immediately.
-    pub fn link_up(&self, to: ServerId) {
-        self.send_input(NodeInput::LinkUp { to });
+    /// Inject `fault` on the outbound link to successor `to` (applied
+    /// by the reactor before its next input).
+    pub fn inject_fault(&self, to: ServerId, fault: LinkFault) {
+        self.send_input(NodeInput::Fault { to, fault });
     }
 
     /// Point-in-time copy of this runtime's resilience counters.
@@ -356,19 +306,13 @@ impl NodeRuntime {
         self.stats.snapshot()
     }
 
-    /// Remove the node from its reactor and close its sockets. Used
-    /// both for graceful shutdown and to emulate a crash (peers detect
-    /// via disconnect/FD).
-    pub fn shutdown(self) {
-        let _ = self.shutdown_and_drain();
-    }
-
-    /// Like [`NodeRuntime::shutdown`], but additionally return every
-    /// delivery the server produced that the application had not yet
-    /// received. Draining happens *after* the reactor has torn the node
-    /// down, so no completed round can slip away in the teardown
-    /// window.
-    pub fn shutdown_and_drain(self) -> Vec<Delivery> {
+    /// Remove the node from its reactor and close its sockets — a
+    /// graceful shutdown and an emulated crash are the same thing (peers
+    /// detect via disconnect/FD). Returns every delivery the server
+    /// produced that the application had not yet received; draining
+    /// happens *after* the reactor has torn the node down, so no
+    /// completed round can slip away in the teardown window.
+    pub fn shutdown(self) -> Vec<Delivery> {
         self.pool.remove(self.token);
         let mut drained = Vec::new();
         while let Some(d) = self.try_recv_delivery() {

@@ -1,17 +1,15 @@
 //! Scripted transport-resilience tests over real loopback TCP: link
-//! flaps under and over the grace budget, watermark-bounded Degraded
-//! queues, and the typed connect-retry error.
+//! flaps under and over the grace budget and watermark-bounded Degraded
+//! queues.
 //!
 //! These are the end-to-end counterparts of the unit tests in
 //! `crates/net/src/link.rs` — the link state machine is driven through
 //! a full deployment, and the assertions read the runtimes'
 //! [`LinkStatsSnapshot`] counters plus protocol-visible delivery order.
 
-#![allow(deprecated)] // recv_delivery: the lockstep shim is exactly what scripted tests want
-
 use allconcur_graph::standard::complete_digraph;
-use allconcur_net::link::{connect_with_retry, BackoffPolicy, LinkStatsSnapshot};
-use allconcur_net::runtime::RuntimeOptions;
+use allconcur_net::link::LinkStatsSnapshot;
+use allconcur_net::runtime::{LinkFault, RuntimeOptions};
 use allconcur_net::LocalCluster;
 use bytes::Bytes;
 use std::time::{Duration, Instant};
@@ -69,7 +67,7 @@ fn flap_under_grace_heals_without_suspicion() {
 
     // Sever 0 → 1 for 100 ms — far under the grace budget — and submit
     // a round while it is down, so frames buffer in the Degraded queue.
-    cluster.link_flap(0, 1, Duration::from_millis(100));
+    cluster.inject_fault(0, 1, LinkFault::Flap { down_for: Duration::from_millis(100) });
     run_checked_round(&cluster, 1);
 
     // The flap heals: the writer reconnects and replays its buffered
@@ -102,7 +100,7 @@ fn flap_over_grace_escalates_to_exactly_one_suspicion() {
 
     // Hold 0 → 1 down well past the 50 ms grace: server 1's deferred
     // disconnect grace expires and escalates through the ◇P path.
-    cluster.link_flap(0, 1, Duration::from_millis(400));
+    cluster.inject_fault(0, 1, LinkFault::Flap { down_for: Duration::from_millis(400) });
     wait_stats(&cluster, 1, "suspicion after grace expiry", |s| s.suspicions >= 1);
 
     // Exactly one: the single expired grace produces a single
@@ -127,7 +125,7 @@ fn watermark_saturation_bounds_degraded_queues() {
     // Hold 0 → 1 down and keep round traffic flowing: the overlay's
     // redundant paths keep agreement alive, while 0's frames for 1 pile
     // into the bounded Degraded queue until the high watermark sheds.
-    cluster.link_down(0, 1);
+    cluster.inject_fault(0, 1, LinkFault::Down);
     let mut round = 1u64;
     let deadline = Instant::now() + Duration::from_secs(15);
     while cluster.link_stats(0).shed_frames == 0 {
@@ -141,27 +139,11 @@ fn watermark_saturation_bounds_degraded_queues() {
     // Heal: the (bounded) tail replays, and the deployment keeps its
     // order with zero suspicions — shed frames on one link are routed
     // around by vertex connectivity, exactly like transient loss.
-    cluster.link_up(0, 1);
-    wait_stats(&cluster, 0, "reconnect after link_up", |s| s.reconnects >= 1);
+    cluster.inject_fault(0, 1, LinkFault::Up);
+    wait_stats(&cluster, 0, "reconnect after heal", |s| s.reconnects >= 1);
     run_checked_round(&cluster, round);
     for id in 0..N as u32 {
         assert_eq!(cluster.link_stats(id).suspicions, 0, "server {id}");
     }
     cluster.shutdown();
-}
-
-#[test]
-fn connect_with_retry_returns_typed_error() {
-    // Bind then drop a listener so the port actively refuses.
-    let addr = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
-    let policy = BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(4), 7);
-    let err = connect_with_retry(addr, 3, &policy).expect_err("nothing is listening");
-    assert_eq!(err.attempts, 3);
-    let io: std::io::Error = err.into();
-    assert!(io.to_string().contains("3 attempts"), "{io}");
-
-    // And the success path: a live listener connects on attempt one.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let live = listener.local_addr().unwrap();
-    connect_with_retry(live, 3, &policy).expect("listener is live");
 }

@@ -11,9 +11,9 @@
 //!   a committed golden hash (transport refactors must not perturb
 //!   agreement output);
 //! * a whole in-process cluster runs on O(cores) reactor threads, not
-//!   the O(n·d) the thread-per-socket runtime needed.
-
-#![allow(deprecated)] // recv_delivery: the lockstep shim is exactly what scripted tests want
+//!   the O(n·d) the thread-per-socket runtime needed;
+//! * a reactor never sleeps through a wake-up: cluster shutdown is
+//!   prompt every time.
 
 use allconcur_core::message::Message;
 use allconcur_net::codec::{encode_frame, FrameReader};
@@ -356,4 +356,35 @@ fn cluster_thread_count_is_bounded_by_cores_not_topology() {
         }
     }
     cluster.shutdown();
+}
+
+/// The lost wake-up regression: a reactor that drains its waker *after*
+/// reading the stop flag and control channel swallows a `wake()` issued
+/// in between — which is exactly when the pool's stop follows the last
+/// node removal — and then sleeps its full 250 ms idle poll. That hit
+/// about one shutdown in four; twenty in a row must all be prompt.
+#[test]
+fn shutdown_never_sleeps_through_a_wakeup() {
+    use std::time::Instant;
+    for cycle in 0..20 {
+        let cluster = LocalCluster::spawn(
+            allconcur_graph::standard::complete_digraph(4),
+            RuntimeOptions::default(),
+        )
+        .expect("spawn");
+        for i in 0..4u32 {
+            assert!(cluster.broadcast(i, Bytes::from(vec![i as u8; 8])), "server {i} shed");
+        }
+        for i in 0..4u32 {
+            let d = cluster.recv_delivery(i, Duration::from_secs(20)).expect("round 0 agreed");
+            assert_eq!((d.round, d.messages.len()), (0, 4), "server {i}");
+        }
+        let started = Instant::now();
+        cluster.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(150),
+            "shutdown {cycle} took {took:?}: a reactor slept through its wake-up"
+        );
+    }
 }

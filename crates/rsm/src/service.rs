@@ -394,7 +394,19 @@ impl<S: StateMachine> Service<S> {
         let snap = initial.snapshot();
         let replicas =
             (0..n).map(|_| Replica::from_snapshot(&snap)).collect::<Result<Vec<_>, _>>()?;
-        Ok(Service {
+        Ok(Service::assemble(cluster, replicas, None))
+    }
+
+    /// The one place a `Service` is put together: `replicas` (one per
+    /// server of `cluster`) at their starting state, everything else at
+    /// its round-zero value.
+    fn assemble(
+        cluster: Cluster,
+        replicas: Vec<Replica<S>>,
+        durability: Option<Durability<S::Response>>,
+    ) -> Self {
+        let n = replicas.len();
+        Service {
             cluster,
             codec: S::Codec::default(),
             replicas,
@@ -410,7 +422,7 @@ impl<S: StateMachine> Service<S> {
             failed: BTreeMap::new(),
             decoded: BTreeMap::new(),
             delivery_log: None,
-            durability: None,
+            durability,
             digests: vec![FNV_OFFSET; n],
             audit_log: vec![VecDeque::new(); n],
             audit_floor: vec![0; n],
@@ -418,7 +430,7 @@ impl<S: StateMachine> Service<S> {
             quarantined: vec![None; n],
             resume_after: vec![None; n],
             integrity: IntegrityStats::default(),
-        })
+        }
     }
 
     /// Start a replicated `initial` state with durable acknowledgment:
@@ -521,10 +533,14 @@ impl<S: StateMachine> Service<S> {
         // The authoritative durable history: highest epoch, then most
         // durable rounds. Every other durable log is a prefix of it.
         let top_epoch = recs.iter().map(|r| r.epoch).max().unwrap_or(0);
-        let reference = (0..n)
-            .filter(|&s| recs[s].epoch == top_epoch)
-            .max_by_key(|&s| recs[s].tip())
-            .expect("n >= 1");
+        let Some(reference) =
+            (0..n).filter(|&s| recs[s].epoch == top_epoch).max_by_key(|&s| recs[s].tip())
+        else {
+            return Err(dur_err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "recovery needs at least one server",
+            )));
+        };
         let base = recs[reference].snapshot_covers;
         let tip = recs[reference].tip();
         report.recovered_rounds = tip;
@@ -592,31 +608,8 @@ impl<S: StateMachine> Service<S> {
             .iter()
             .map(|snap| Replica::from_snapshot(snap))
             .collect::<Result<Vec<_>, _>>()?;
-        let service = Service {
-            cluster,
-            codec: S::Codec::default(),
-            replicas,
-            queues: (0..n).map(|_| PendingBatch::default()).collect(),
-            flights: vec![VecDeque::new(); n],
-            next_seq: vec![0; n],
-            flushed: 0,
-            harvested: 0,
-            pipeline: 1,
-            admission: AdmissionConfig::default(),
-            shed: 0,
-            resolved: (0..n).map(|_| VecDeque::new()).collect(),
-            failed: BTreeMap::new(),
-            decoded: BTreeMap::new(),
-            delivery_log: None,
-            durability: Some(Durability { cfg, epoch: new_epoch, wals, pending: VecDeque::new() }),
-            digests: vec![FNV_OFFSET; n],
-            audit_log: vec![VecDeque::new(); n],
-            audit_floor: vec![0; n],
-            audit_interval: DEFAULT_AUDIT_INTERVAL,
-            quarantined: vec![None; n],
-            resume_after: vec![None; n],
-            integrity: IntegrityStats::default(),
-        };
+        let durability = Durability { cfg, epoch: new_epoch, wals, pending: VecDeque::new() };
+        let service = Service::assemble(cluster, replicas, Some(durability));
         Ok((service, report))
     }
 

@@ -6,9 +6,11 @@
 use allconcur::prelude::*;
 use allconcur_graph::binomial::binomial_graph;
 use allconcur_graph::gs::gs_digraph;
-use allconcur_graph::standard::complete_digraph;
+use allconcur_graph::standard::{complete_digraph, ring_digraph};
+use allconcur_net::link::LinkStatsSnapshot;
+use allconcur_net::runtime::RuntimeOptions;
 use bytes::Bytes;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn payloads(n: usize) -> Vec<Bytes> {
     (0..n).map(|i| Bytes::from(format!("payload-{i}").into_bytes())).collect()
@@ -154,5 +156,59 @@ fn tcp_streaming_submit_and_handles() {
     // wait_delivered does not consume: the origin's stream still has it.
     let streamed = cluster.recv_delivery(2, ROUND_TIMEOUT).unwrap();
     assert_eq!(streamed, delivery);
+    cluster.shutdown().unwrap();
+}
+
+fn link_stats(cluster: &mut Cluster, id: u32) -> LinkStatsSnapshot {
+    let transport = cluster.tcp_transport_mut().expect("tcp backend");
+    transport.cluster().expect("running").link_stats(id)
+}
+
+/// Poll server `id`'s link counters until `pred` holds.
+fn wait_link_stats(
+    cluster: &mut Cluster,
+    id: u32,
+    what: &str,
+    pred: impl Fn(&LinkStatsSnapshot) -> bool,
+) {
+    let deadline = Instant::now() + ROUND_TIMEOUT;
+    loop {
+        let stats = link_stats(cluster, id);
+        if pred(&stats) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "server {id} never reached `{what}`: {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn clear_link_faults_heals_a_drop_a_flip_and_a_hold() {
+    // On the directed ring every link is the only path, so a fault left
+    // behind on any of the three would stall the last round forever.
+    // The transport keeps no record of which links it faulted: each
+    // reactor clears the fault state it owns.
+    let n = 3;
+    let opts = RuntimeOptions { link_grace: Duration::from_secs(60), ..RuntimeOptions::default() };
+    let mut cluster = Cluster::tcp_with(ring_digraph(n), opts).unwrap();
+    cluster.run_round(&payloads(n), ROUND_TIMEOUT).unwrap();
+
+    cluster.inject_fault(&FaultCommand::Drop { from: 0, to: 1, ppm: 1_000_000 }).unwrap();
+    cluster.inject_fault(&FaultCommand::BitFlip { from: 1, to: 2, ppm: 1_000_000 }).unwrap();
+    cluster.inject_fault(&FaultCommand::LinkDown { from: 2, to: 0 }).unwrap();
+    wait_link_stats(&mut cluster, 2, "held link degraded", |s| s.degraded >= 1);
+
+    cluster.inject_fault(&FaultCommand::ClearLinkFaults).unwrap();
+    wait_link_stats(&mut cluster, 2, "held link reconnected", |s| s.reconnects >= 1);
+    let round = cluster.run_round(&payloads(n), ROUND_TIMEOUT).unwrap();
+    for (id, delivery) in &round {
+        assert_eq!(delivery.messages.len(), n, "server {id} lost a message after the clear");
+    }
+    // The faults were set and cleared between rounds: nothing was
+    // dropped or corrupted, and the under-grace hold cost no suspicion.
+    for id in 0..n as u32 {
+        let stats = link_stats(&mut cluster, id);
+        assert_eq!((stats.corrupt_frames, stats.suspicions), (0, 0), "server {id}: {stats:?}");
+    }
     cluster.shutdown().unwrap();
 }
