@@ -10,8 +10,9 @@
 //!   byte-exact prefix of the unsynced tail first — the torn-write
 //!   injection surface the nemesis harness drives;
 //! * [`FileDisk`] — real files in one directory, `fsync` via
-//!   `File::sync_data`, atomic snapshot replacement via
-//!   write-temp-then-rename.
+//!   `File::sync_data` on a held append handle, atomic snapshot
+//!   replacement via write-temp-then-rename, and a directory fsync
+//!   behind every new or renamed entry.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -207,14 +208,23 @@ impl VirtualDisk for MemDisk {
     }
 }
 
-/// Real files under one directory. `sync` walks every file written
-/// since the last barrier and `sync_data`s it; atomic replacement goes
-/// through write-temp + rename (the classic crash-safe sequence).
+/// Real files under one directory. The file last appended to (the
+/// WAL's active segment) stays open, so an append is one `write(2)`.
+/// `sync` walks every file written since the last barrier and
+/// `sync_data`s it, then fsyncs the directory if an append created a
+/// file; atomic replacement goes through write-temp + `sync_data` +
+/// rename + directory fsync (the classic crash-safe sequence), so it is
+/// durable on return.
 #[derive(Debug)]
 pub struct FileDisk {
     root: PathBuf,
-    /// Files dirtied since the last sync barrier.
+    /// Files appended to since the last sync barrier.
     dirty: Vec<String>,
+    /// The file last appended to, kept open for the next append.
+    active: Option<(String, fs::File)>,
+    /// An append created a file whose directory entry is not yet
+    /// durable.
+    dir_dirty: bool,
 }
 
 impl FileDisk {
@@ -222,7 +232,7 @@ impl FileDisk {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(FileDisk { root, dirty: Vec::new() })
+        Ok(FileDisk { root, dirty: Vec::new(), active: None, dir_dirty: false })
     }
 
     /// The backing directory.
@@ -238,6 +248,33 @@ impl FileDisk {
         if !self.dirty.iter().any(|d| d == name) {
             self.dirty.push(name.to_string());
         }
+    }
+
+    /// `name` is about to be replaced or unlinked: close its held
+    /// handle (later appends must not land in the old inode) and stop
+    /// tracking it for the next barrier.
+    fn release(&mut self, name: &str) {
+        if self.active.as_ref().is_some_and(|(held, _)| held == name) {
+            self.active = None;
+        }
+        self.dirty.retain(|d| d != name);
+    }
+
+    /// Open `name` for appending, noting whether this created it.
+    fn open_append(&mut self, name: &str) -> io::Result<fs::File> {
+        let path = self.path(name);
+        match fs::OpenOptions::new().append(true).open(&path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.dir_dirty = true;
+                fs::OpenOptions::new().append(true).create(true).open(&path)
+            }
+            opened => opened,
+        }
+    }
+
+    /// Make every directory entry created or renamed so far durable.
+    fn sync_dir(&self) -> io::Result<()> {
+        fs::File::open(&self.root)?.sync_all()
     }
 }
 
@@ -265,13 +302,17 @@ impl VirtualDisk for FileDisk {
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        let mut file = fs::OpenOptions::new().create(true).append(true).open(self.path(name))?;
-        file.write_all(data)?;
+        let active = match self.active.take() {
+            Some((held, file)) if held == name => (held, file),
+            _ => (name.to_string(), self.open_append(name)?),
+        };
+        self.active.insert(active).1.write_all(data)?;
         self.mark_dirty(name);
         Ok(())
     }
 
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+        self.release(name);
         let tmp = self.path(&format!("{name}.tmp"));
         {
             let mut file = fs::File::create(&tmp)?;
@@ -281,11 +322,12 @@ impl VirtualDisk for FileDisk {
             file.sync_data()?;
         }
         fs::rename(&tmp, self.path(name))?;
-        self.mark_dirty(name);
-        Ok(())
+        // The rename itself is durable only once the directory is.
+        self.sync_dir()
     }
 
     fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.release(name);
         match fs::remove_file(self.path(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -295,12 +337,14 @@ impl VirtualDisk for FileDisk {
 
     fn sync(&mut self) -> io::Result<bool> {
         for name in std::mem::take(&mut self.dirty) {
-            match fs::File::open(self.path(&name)) {
-                Ok(file) => file.sync_data()?,
-                // Dirtied then removed (post-snapshot truncation).
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+            match &self.active {
+                Some((held, file)) if *held == name => file.sync_data()?,
+                _ => fs::File::open(self.path(&name))?.sync_data()?,
             }
+        }
+        if self.dir_dirty {
+            self.sync_dir()?;
+            self.dir_dirty = false;
         }
         Ok(true)
     }
@@ -452,6 +496,35 @@ mod tests {
         assert_eq!(disk.list().unwrap(), vec!["snap".to_string(), "wal-0".to_string()]);
         disk.remove("wal-0").unwrap();
         assert_eq!(disk.read("wal-0").unwrap(), None);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The held append handle must never outlive its directory entry:
+    /// after a replace or an unlink, appends go to the file the name
+    /// now denotes, not to the orphaned inode.
+    #[test]
+    fn file_disk_append_follows_replace_and_remove() {
+        let root =
+            std::env::temp_dir().join(format!("allconcur-filedisk-held-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let mut disk = FileDisk::open(&root).unwrap();
+        disk.append("seg", b"abc").unwrap();
+        disk.write_atomic("seg", b"ab").unwrap(); // a torn-tail trim
+        disk.append("seg", b"XY").unwrap();
+        assert!(disk.sync().unwrap());
+        assert_eq!(disk.read("seg").unwrap().unwrap(), b"abXY");
+
+        disk.remove("seg").unwrap();
+        disk.append("seg", b"new").unwrap();
+        assert!(disk.sync().unwrap());
+        assert_eq!(disk.read("seg").unwrap().unwrap(), b"new", "recreated after remove");
+
+        // Switching files closes the held handle; both stay syncable.
+        disk.append("other", b"1").unwrap();
+        disk.append("seg", b"+").unwrap();
+        assert!(disk.sync().unwrap());
+        assert_eq!(disk.read("other").unwrap().unwrap(), b"1");
+        assert_eq!(disk.read("seg").unwrap().unwrap(), b"new+");
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -123,6 +123,9 @@ pub struct ScrubReport {
 }
 
 /// What [`Wal::recover_or_rot`] found on one server's disk.
+// Built once per server per recovery and unpacked at once: the size
+// gap between the variants costs nothing worth a `Box`.
+#[allow(clippy::large_enum_variant)]
 pub enum RecoverOutcome {
     /// The log was intact (any torn tail trimmed): the reopened WAL
     /// plus what it reconstructed.

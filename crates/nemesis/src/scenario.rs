@@ -765,17 +765,15 @@ impl Scenario {
                     &still_quarantined,
                 )?;
             }
-            FaultClass::BitFlip => {
-                // Wire flips must be caught by the frame CRC, so the
-                // audit (running throughout) may never see a diverged
-                // replica — a divergence here means corruption leaked
-                // past the wire into applied state. The audit does not
-                // attribute a healed divergence, so fall back to the
-                // first still-quarantined server (or 0) for the report.
-                if stats.divergences > 0 {
-                    let server = still_quarantined.first().copied().unwrap_or(0);
-                    return Err(PropertyViolation::SilentCorruption { server }.into());
-                }
+            // Wire flips must be caught by the frame CRC, so the audit
+            // (running throughout) may never see a diverged replica — a
+            // divergence here means corruption leaked past the wire into
+            // applied state. The audit does not attribute a healed
+            // divergence, so fall back to the first still-quarantined
+            // server (or 0) for the report.
+            FaultClass::BitFlip if stats.divergences > 0 => {
+                let server = still_quarantined.first().copied().unwrap_or(0);
+                return Err(PropertyViolation::SilentCorruption { server }.into());
             }
             _ => {}
         }

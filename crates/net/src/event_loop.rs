@@ -192,12 +192,12 @@ impl EventLoopPool {
         let reactor = self.next.fetch_add(1, Ordering::Relaxed) % self.reactors.len().max(1);
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
         let Some(h) = self.reactors.get(reactor) else {
-            return Err(io::Error::new(io::ErrorKind::Other, "event-loop pool has no reactors"));
+            return Err(io::Error::other("event-loop pool has no reactors"));
         };
         let (ack_tx, ack_rx) = bounded(1);
         h.ctrl_tx
             .send(Ctrl::Register(key, Box::new(spec), ack_tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::Other, "reactor thread is gone"))?;
+            .map_err(|_| io::Error::other("reactor thread is gone"))?;
         let _ = h.waker.wake();
         match ack_rx.recv_timeout(Duration::from_secs(10)) {
             Ok(Ok(())) => Ok(NodeToken { reactor, key }),

@@ -108,11 +108,6 @@ impl HeartbeatTable {
         }
         dead
     }
-
-    /// Stop monitoring `p` (it was tagged failed by the protocol).
-    pub fn forget(&mut self, p: ServerId) {
-        self.last_heard.remove(&p);
-    }
 }
 
 /// Adaptive timeout — the §3.3.2 recipe for an eventually-perfect FD:
@@ -173,14 +168,6 @@ mod tests {
         assert_eq!(dead, vec![1]);
         // Reported once only.
         assert!(table.expired(t0 + 30 * MS, 20 * MS).is_empty());
-    }
-
-    #[test]
-    fn forget_removes_monitoring() {
-        let t0 = Instant::now();
-        let mut table = HeartbeatTable::new(&[3], t0);
-        table.forget(3);
-        assert!(table.expired(t0 + 5 * MS, MS).is_empty());
     }
 
     #[test]

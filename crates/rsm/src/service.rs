@@ -1332,7 +1332,7 @@ impl<S: StateMachine> Service<S> {
                 digest = fold_digest(digest, round, *origin, payload);
             }
             self.digests[at as usize] = digest;
-            if (round + 1) % self.audit_interval == 0 {
+            if (round + 1).is_multiple_of(self.audit_interval) {
                 self.audit_log[at as usize].push_back((round, digest));
                 self.check_audits();
             }
@@ -1553,15 +1553,31 @@ impl<S: StateMachine> Service<S> {
         })
     }
 
-    /// Checkpoint server `at`'s WAL if it accumulated
-    /// [`DurabilityConfig::checkpoint_every_rounds`] since the last
-    /// snapshot: durable snapshot of the replica's state, fully-covered
-    /// segments truncated. Abandoned harmlessly under a disk-slow fault.
+    /// Checkpoint server `at`'s WAL when its turn comes: durable
+    /// snapshot of the replica's state, fully-covered segments
+    /// truncated. Abandoned harmlessly under a disk-slow fault.
+    ///
+    /// Checkpoints are staggered by server id so no round pays for more
+    /// than one: with `every` =
+    /// [`DurabilityConfig::checkpoint_every_rounds`], server `at` of `n`
+    /// takes its first checkpoint of an epoch `every·(at+1)/n` rounds
+    /// in, then one every `every` rounds — so no log grows past `every`
+    /// rounds beyond its snapshot. The offset restarts with each epoch
+    /// (a fresh epoch covers zero rounds), so recovery and
+    /// reconfiguration stay staggered.
     fn maybe_checkpoint(&mut self, at: ServerId) -> Result<(), ServiceError> {
         let Some(d) = self.durability.as_mut() else { return Ok(()) };
+        let n = d.wals.len() as u64;
         let wal = &mut d.wals[at as usize];
         let every = wal.config().checkpoint_every_rounds;
-        if every > 0 && wal.appended_rounds() - wal.snapshot_covers() >= every {
+        let covers = wal.snapshot_covers();
+        let due = match covers {
+            0 => every.saturating_mul(u64::from(at) + 1) / n,
+            _ => covers.saturating_add(every),
+        };
+        // `covers + 1`: with `every < n` a first offset can be 0, and a
+        // checkpoint must cover at least one new round.
+        if every > 0 && wal.appended_rounds() >= due.max(covers + 1) {
             let snap = self.replicas[at as usize].snapshot();
             wal.checkpoint(&snap).map_err(dur_err)?;
         }

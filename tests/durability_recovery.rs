@@ -3,6 +3,7 @@
 //! catch-up path — driven through the public `Service` API.
 
 use allconcur::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -238,6 +239,87 @@ fn file_disk_round_trip() {
         assert_eq!(kv2.query_local(0).unwrap().get_local(&key), Some(&b"durable"[..]));
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Check the checkpoint stagger on `kv`'s current epoch: server `i` of
+/// `n` snapshots only at rounds `every·(i+1)/n + k·every`, so no two
+/// servers ever snapshot at the same round, and no log holds more than
+/// `every` rounds past its snapshot. `owner` maps every snapshot point
+/// seen this epoch to the server that took it.
+fn assert_staggered(kv: &Service<KvStore>, every: u64, owner: &mut BTreeMap<u64, ServerId>) {
+    let n = kv.n() as u64;
+    for id in 0..n as ServerId {
+        let wal = kv.wal(id).unwrap();
+        let covers = wal.snapshot_covers();
+        let backlog = wal.appended_rounds() - covers;
+        assert!(backlog <= every, "server {id}'s log is {backlog} rounds past its snapshot");
+        if covers == 0 {
+            continue;
+        }
+        assert_eq!(
+            covers % every,
+            every * (u64::from(id) + 1) / n % every,
+            "server {id} snapshotted off its offset at round {covers}"
+        );
+        let first = *owner.entry(covers).or_insert(id);
+        assert_eq!(first, id, "servers {first} and {id} both snapshotted at round {covers}");
+    }
+}
+
+/// Staggered checkpoints at n=8: servers snapshot one at a time, logs
+/// stay bounded, and a kill-all that finds every snapshot at a
+/// different round loses no acknowledged write. The stagger restarts
+/// with the epoch recovery begins.
+#[test]
+fn staggered_checkpoints_then_recovery() {
+    let n = 8;
+    let every = 64;
+    let cfg =
+        DurabilityConfig { checkpoint_every_rounds: every, ..DurabilityConfig::deterministic(4) };
+    let mut kv = Service::with_durability(
+        Cluster::sim(overlay(n)),
+        &KvStore::default(),
+        DurabilityStore::memory(n),
+        cfg.clone(),
+    )
+    .unwrap();
+    let mut owner = BTreeMap::new();
+    let mut acked = Vec::new();
+    for uid in 0..3 * every + 8 {
+        kv.execute((uid % n as u64) as ServerId, &put(uid), TIMEOUT).expect("durable ack");
+        acked.push(uid);
+        assert_staggered(&kv, every, &mut owner);
+    }
+    assert!(kv.wal(0).unwrap().appended_rounds() >= 3 * every);
+    let held: BTreeSet<u64> =
+        (0..n as ServerId).map(|id| kv.wal(id).unwrap().snapshot_covers()).collect();
+    assert_eq!(held.len(), n, "kill-all must find snapshots at {n} different rounds: {held:?}");
+
+    let mut store = kv.shutdown_into_store().unwrap().expect("durability was on");
+    store.crash_all();
+    let (mut kv2, _report) =
+        Service::recover(Cluster::sim(overlay(n)), &KvStore::default(), store, cfg).unwrap();
+    let reference = kv2.replica(0).unwrap().snapshot();
+    for id in 0..n as ServerId {
+        assert_eq!(kv2.replica(id).unwrap().snapshot(), reference, "replica {id} diverged");
+    }
+    for &uid in &acked {
+        assert_eq!(
+            kv2.query_local(0).unwrap().get_local(&uid.to_le_bytes()),
+            Some(&b"durable"[..]),
+            "acknowledged uid {uid} lost by recovery"
+        );
+    }
+
+    // The new epoch starts its stagger from scratch.
+    owner.clear();
+    for uid in 1000..1000 + every {
+        kv2.execute((uid % n as u64) as ServerId, &put(uid), TIMEOUT).unwrap();
+        assert_staggered(&kv2, every, &mut owner);
+    }
+    kv2.sync(TIMEOUT).unwrap(); // every replica has applied every round
+    assert_staggered(&kv2, every, &mut owner);
+    assert_eq!(owner.len(), n, "every server checkpointed once in its first {every} rounds");
 }
 
 /// Reconfiguration with durability on: epoch bumps, logs truncate, and
