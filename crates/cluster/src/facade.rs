@@ -26,12 +26,14 @@ use allconcur_graph::Digraph;
 use allconcur_net::runtime::RuntimeOptions;
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// `Instant::now() + timeout` that survives `Duration::MAX` (clamps to a
-/// far-future deadline instead of panicking on overflow).
-fn saturating_deadline(timeout: Duration) -> std::time::Instant {
-    let now = std::time::Instant::now();
+/// `Instant::now() + timeout` that survives `Duration::MAX`: a timeout
+/// past what `Instant` can represent clamps to a year from now instead
+/// of panicking on overflow. Every wall-clock wait budget above the
+/// transports starts here.
+pub fn deadline_after(timeout: Duration) -> Instant {
+    let now = Instant::now();
     now.checked_add(timeout).unwrap_or_else(|| now + Duration::from_secs(60 * 60 * 24 * 365))
 }
 
@@ -262,7 +264,7 @@ impl Cluster {
         if let Some(delivery) = self.inbox[id as usize].pop_front() {
             return Ok(delivery);
         }
-        let deadline = saturating_deadline(timeout);
+        let deadline = deadline_after(timeout);
         loop {
             if !self.transport.is_live(id) {
                 // A dead server can still flush deliveries it produced
@@ -276,7 +278,7 @@ impl Cluster {
                     None => return Err(ClusterError::ServerDown(id)),
                 }
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(ClusterError::Timeout { waited: timeout });
             }
@@ -330,7 +332,7 @@ impl Cluster {
         if let Some(found) = self.inbox[origin as usize].iter().find(|d| carries(d)) {
             return Ok(found.clone());
         }
-        let deadline = saturating_deadline(timeout);
+        let deadline = deadline_after(timeout);
         loop {
             if !self.transport.is_live(origin) {
                 // Flush deliveries the origin produced before dying,
@@ -345,7 +347,7 @@ impl Cluster {
                 }
                 return found.ok_or(ClusterError::ServerDown(origin));
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(ClusterError::Timeout { waited: timeout });
             }

@@ -34,7 +34,7 @@ pub mod transport;
 
 pub use allconcur_core::delivery::Delivery;
 pub use error::ClusterError;
-pub use facade::{Cluster, Deliveries, SubmitHandle};
+pub use facade::{deadline_after, Cluster, Deliveries, SubmitHandle};
 pub use sim::{SimOptions, SimTransport};
 pub use tcp::TcpTransport;
 pub use transport::{FaultCommand, Transport};
@@ -252,6 +252,41 @@ mod tests {
         }
         // Taken once: subsequent reads see nothing.
         assert!(cluster.take_stream_error().is_none());
+    }
+
+    #[test]
+    fn parked_consumer_never_sleeps_through_its_wakeup() {
+        // A receive that waited out its whole timeout, or slept past the
+        // round's arrival, would blow the 250 ms budget per call (the
+        // reactor's idle poll) by orders of magnitude.
+        let mut cluster = Cluster::tcp(complete_digraph(4)).unwrap();
+        cluster.run_round(&payloads(4), TIMEOUT).unwrap(); // connections up
+        for round in 1..=20u64 {
+            for id in 0..4 {
+                cluster.submit(id, Bytes::from(format!("{id}/{round}"))).unwrap();
+            }
+            for _ in 0..4 {
+                let started = std::time::Instant::now();
+                let (_, delivery) = cluster.next_delivery(Duration::from_secs(30)).unwrap();
+                let waited = started.elapsed();
+                assert_eq!(delivery.round, round);
+                assert!(waited < Duration::from_millis(250), "round {round} took {waited:?}");
+            }
+        }
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn huge_timeout_returns_a_pending_delivery() {
+        let mut cluster = Cluster::tcp(complete_digraph(4)).unwrap();
+        for id in 0..4 {
+            cluster.submit(id, Bytes::from_static(b"forever")).unwrap();
+        }
+        let (first, delivery) = cluster.next_delivery(Duration::MAX).unwrap();
+        assert_eq!(delivery.round, 0);
+        let delivery = cluster.recv_delivery((first + 1) % 4, Duration::MAX).unwrap();
+        assert_eq!(delivery.round, 0);
+        cluster.shutdown().unwrap();
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! Wraps an [`allconcur_net::LocalCluster`] (every server a node on a
 //! shared pool of `min(cores, n)` epoll reactor threads, loopback TCP
 //! for protocol messages, UDP heartbeats for the FD). Submission
-//! buffering lives in each node's runtime, so `submit` just forwards;
-//! `poll_delivery` round-robins the nodes' delivery channels.
+//! buffering lives in each node's runtime, so `submit` just forwards.
+//! Every reactor pushes the rounds its nodes finish onto the cluster's
+//! one arrival queue (a loop iteration's first round at once, the rest
+//! as one batch at its end), so `poll_delivery` is a single blocking
+//! receive that wakes as soon as any server finishes a round; a crashed
+//! node's finished rounds stay on that queue and are reported like any
+//! other.
 
 use crate::error::ClusterError;
 use crate::transport::{FaultCommand, Transport};
@@ -15,13 +20,7 @@ use allconcur_graph::Digraph;
 use allconcur_net::runtime::{LinkFault, RuntimeOptions};
 use allconcur_net::LocalCluster;
 use bytes::Bytes;
-use std::time::{Duration, Instant};
-
-/// Backoff bounds for `poll_delivery`'s scans of the nodes' delivery
-/// channels: start responsive, decay towards the cap while idle so a
-/// long quiet wait does not pin a core.
-const POLL_MIN: Duration = Duration::from_micros(50);
-const POLL_MAX: Duration = Duration::from_millis(2);
+use std::time::Duration;
 
 /// Suggested retry pause reported with [`ClusterError::Busy`] when a
 /// node's bounded input queue sheds a submission. One millisecond is a
@@ -38,26 +37,13 @@ pub struct TcpTransport {
     /// transport reports `ShutDown` rather than phantom `UnknownServer`
     /// errors, matching the sim backend).
     n: usize,
-    /// Round-robin cursor so one chatty server cannot starve the others'
-    /// delivery reporting.
-    cursor: usize,
-    /// Deliveries rescued from a node's channel just before [`Transport::crash`]
-    /// tears the node down — matching the simulator, where a victim's
-    /// pre-crash deliveries stay observable.
-    parked: std::collections::VecDeque<(ServerId, Delivery)>,
 }
 
 impl TcpTransport {
     /// Spawn one server per overlay vertex on ephemeral loopback ports.
     pub fn spawn(graph: Digraph, opts: RuntimeOptions) -> Result<TcpTransport, ClusterError> {
         let cluster = LocalCluster::spawn(graph, opts)?;
-        Ok(TcpTransport {
-            n: cluster.n(),
-            cluster: Some(cluster),
-            opts,
-            cursor: 0,
-            parked: std::collections::VecDeque::new(),
-        })
+        Ok(TcpTransport { n: cluster.n(), cluster: Some(cluster), opts })
     }
 
     /// The wrapped loopback deployment.
@@ -108,32 +94,7 @@ impl Transport for TcpTransport {
         &mut self,
         timeout: Duration,
     ) -> Result<Option<(ServerId, Delivery)>, ClusterError> {
-        if let Some(next) = self.parked.pop_front() {
-            return Ok(Some(next));
-        }
-        let n = self.live_cluster()?.n();
-        let now = Instant::now();
-        // Saturate: Duration::MAX must not overflow the deadline.
-        let deadline = now
-            .checked_add(timeout)
-            .unwrap_or_else(|| now + Duration::from_secs(60 * 60 * 24 * 365));
-        let mut backoff = POLL_MIN;
-        loop {
-            for offset in 0..n {
-                let id = ((self.cursor + offset) % n) as ServerId;
-                let next = self.live_cluster()?.try_recv_delivery(id);
-                if let Some(delivery) = next {
-                    self.cursor = (id as usize + 1) % n;
-                    return Ok(Some((id, delivery)));
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(backoff.min(deadline - now));
-            backoff = (backoff * 2).min(POLL_MAX);
-        }
+        Ok(self.live_cluster()?.next_delivery(timeout))
     }
 
     fn crash(&mut self, id: ServerId) -> Result<(), ClusterError> {
@@ -142,13 +103,9 @@ impl Transport for TcpTransport {
         if !cluster.is_running(id) {
             return Err(ClusterError::ServerDown(id));
         }
-        // Rescue deliveries the victim already produced: killing the node
-        // drops its channel, and the simulator keeps these observable.
-        // The drain happens after the reactor tore the node down, so a
-        // round completing during teardown cannot slip away.
-        for delivery in cluster.kill(id) {
-            self.parked.push_back((id, delivery));
-        }
+        // The victim's finished rounds stay on the arrival queue, as the
+        // simulator keeps a crashed server's pre-crash deliveries.
+        cluster.kill(id);
         Ok(())
     }
 
@@ -217,21 +174,19 @@ impl Transport for TcpTransport {
     }
 
     fn reconfigure(&mut self, graph: Digraph) -> Result<(), ClusterError> {
+        // Undelivered rounds leave with the old deployment's queue:
+        // carrying them across would replay old server ids and round
+        // numbers into the new configuration (and diverge from the sim
+        // backend).
         let old = self.cluster.take().ok_or(ClusterError::ShutDown)?;
         old.shutdown();
-        // Rescued pre-crash deliveries belong to the old configuration;
-        // carrying them across would replay old server ids and round
-        // numbers into the new one (and diverge from the sim backend).
-        self.parked.clear();
         let fresh = LocalCluster::spawn(graph, self.opts)?;
         self.n = fresh.n();
         self.cluster = Some(fresh);
-        self.cursor = 0;
         Ok(())
     }
 
     fn shutdown(&mut self) -> Result<(), ClusterError> {
-        self.parked.clear();
         if let Some(cluster) = self.cluster.take() {
             cluster.shutdown();
         }

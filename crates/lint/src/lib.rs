@@ -3,9 +3,10 @@
 //! A self-contained static-analysis pass (hand-rolled lexer, zero
 //! dependencies) that enforces the invariants the rest of the test
 //! suite *assumes*: determinism in transcript-pinned crates, no panics
-//! in protocol threads, no allocation in `lint:hot_path` functions, an
-//! acyclic lock-acquisition order, and `#![forbid(unsafe_code)]` at
-//! protocol crate roots. See `DESIGN.md` § "Static analysis &
+//! in protocol threads, no allocation in `lint:hot_path` functions,
+//! bounded queues and no sleeps in the transport crates, an acyclic
+//! lock-acquisition order, and `#![forbid(unsafe_code)]` at protocol
+//! crate roots. See `DESIGN.md` § "Static analysis &
 //! invariants" for the rule table and suppression policy.
 //!
 //! Library layout:

@@ -32,6 +32,11 @@
 //!   or backpressure story, or an open-loop producer turns into
 //!   unbounded memory growth. Queues whose depth is provably bounded
 //!   elsewhere are suppressed with a justification.
+//! * `no_sleep` — forbids `thread::sleep` in non-test code of the
+//!   transport crates: they wait on a channel, a condvar or a poll
+//!   deadline, which wakes the moment the awaited thing happens. A
+//!   sleep-and-retry loop instead adds up to one sleep of latency to
+//!   every wait it sits in.
 //! * `forbid_unsafe` — asserts `#![forbid(unsafe_code)]` stays present
 //!   at the crate roots that carry it.
 //! * `suppression` — meta-rule: every `lint:allow` must carry a
@@ -47,6 +52,8 @@ pub const NO_PANIC_CRATES: &[&str] = &["core", "cluster", "rsm", "net", "durabil
 pub const LOCK_ORDER_CRATES: &[&str] = &["net", "cluster"];
 /// Crates scanned by the `bounded_queues` rule.
 pub const BOUNDED_QUEUE_CRATES: &[&str] = &["net", "cluster"];
+/// Crates scanned by the `no_sleep` rule.
+pub const NO_SLEEP_CRATES: &[&str] = &["net", "cluster"];
 /// Crates whose roots must carry `#![forbid(unsafe_code)]`.
 pub const FORBID_UNSAFE_CRATES: &[&str] =
     &["graph", "core", "sim", "net", "cluster", "rsm", "durability", "nemesis"];
@@ -57,6 +64,7 @@ pub const ALL_RULES: &[&str] = &[
     "no_panic",
     "no_alloc",
     "bounded_queues",
+    "no_sleep",
     "lock_order",
     "forbid_unsafe",
     "suppression",
@@ -236,6 +244,24 @@ pub fn scan_file(f: &SourceFile<'_>) -> Vec<Violation> {
                         "unbounded channel in transport code; give the queue a capacity with a \
                      shed/backpressure story (watermarks + typed Busy), or justify why its \
                      depth is bounded elsewhere"
+                            .into(),
+                    ),
+                );
+            }
+        }
+    }
+
+    if NO_SLEEP_CRATES.contains(&f.crate_name) {
+        for i in 0..toks.len() {
+            // `thread::sleep` catches the call in any path form and the
+            // `use` that would let a bare `sleep(` through.
+            if live(i) && seq_at(toks, i, &[id("thread"), p(':'), p(':'), id("sleep")]) {
+                out.push(
+                    f.violation(
+                        "no_sleep",
+                        toks[i].line,
+                        "thread::sleep in transport code; wait on a channel, a condvar or a poll \
+                     deadline so the wait ends when the awaited event happens"
                             .into(),
                     ),
                 );

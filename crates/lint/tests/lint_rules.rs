@@ -81,6 +81,25 @@ fn bounded_queues_rule_fires_and_is_scoped() {
 }
 
 #[test]
+fn no_sleep_rule_fires_and_is_scoped() {
+    let src = fixture("no_sleep.rs");
+    // In scope (net and cluster): the import and both call paths fire;
+    // timed receives and `park_timeout` never match.
+    for path in ["crates/net/src/fixture.rs", "crates/cluster/src/fixture.rs"] {
+        let (vs, suppressed) = scan_source(path, &src);
+        assert_eq!(count(&vs, "no_sleep"), 3, "{path}: {vs:#?}");
+        assert_eq!(suppressed, 1, "justified allow suppresses exactly one");
+        assert!(!vs.iter().any(|v| v.snippet.contains("recv_timeout")), "{vs:#?}");
+        assert!(!vs.iter().any(|v| v.snippet.contains("park_timeout")), "{vs:#?}");
+        // The #[cfg(test)] module's sleep is exempt.
+        assert!(!vs.iter().any(|v| v.line > 14), "test module must be exempt: {vs:#?}");
+    }
+    // Out of scope (rsm): clean.
+    let (vs, _) = scan_source("crates/rsm/src/fixture.rs", &src);
+    assert_eq!(count(&vs, "no_sleep"), 0, "{vs:#?}");
+}
+
+#[test]
 fn lock_order_detects_cycles_and_reacquisition() {
     let src = fixture("lock_order.rs");
     let f = SourceFile::new("crates/net/src/fixture.rs", "net", &src);

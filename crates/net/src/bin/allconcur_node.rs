@@ -113,7 +113,7 @@ fn main() {
         connect_backoff: Duration::from_millis(100),
         ..RuntimeOptions::default()
     };
-    let node = NodeRuntime::start(id, cfg, listener, udp, tcp_addrs, udp_addrs, opts)
+    let (node, deliveries) = NodeRuntime::start(id, cfg, listener, udp, tcp_addrs, udp_addrs, opts)
         .unwrap_or_else(|e| {
             eprintln!("startup failed: {e}");
             std::process::exit(1);
@@ -125,9 +125,9 @@ fn main() {
     // Delivery printer thread.
     let stdin = std::io::stdin();
     std::thread::scope(|scope| {
-        scope.spawn(|| loop {
-            match node.recv_delivery(Duration::from_millis(200)) {
-                Some(d) => {
+        scope.spawn(|| {
+            while let Ok(batch) = deliveries.recv() {
+                for (_, d) in batch {
                     let rendered: Vec<String> = d
                         .messages
                         .iter()
@@ -135,7 +135,6 @@ fn main() {
                         .collect();
                     println!("ROUND {} {}", d.round, rendered.join(" "));
                 }
-                None => continue,
             }
         });
         for line in stdin.lock().lines() {

@@ -20,10 +20,10 @@
 //!   backoff, heartbeat emission, FD sweeps, and injected link faults,
 //!   all on O(cores) threads;
 //! * [`runtime`] — per-server handle: registers a server with a
-//!   reactor and owns the application-facing channels (broadcast in,
-//!   deliveries out), the [`RuntimeOptions`](runtime::RuntimeOptions)
-//!   knobs, and the one fault-injection call
-//!   ([`LinkFault`]);
+//!   reactor and owns its input channel (broadcasts, suspicions,
+//!   faults), the delivery queue its reactor pushes finished rounds
+//!   onto, the [`RuntimeOptions`](runtime::RuntimeOptions) knobs, and
+//!   the one fault-injection call ([`LinkFault`]);
 //! * [`heartbeat`] — the heartbeat datagram and the reactor-owned state
 //!   of the timeout-based failure detector (`Δ_hb` / `Δ_to`, §3.2)
 //!   with the §3.3.2 adaptive timeout; connection loss escalates to a
@@ -33,8 +33,8 @@
 //!   jitter reconnect policy, bounded watermarked frame queues, the
 //!   coalescing write buffer, and the resilience counters;
 //! * [`cluster`] — [`cluster::LocalCluster`]: spin up a full deployment
-//!   on loopback (sharing one reactor pool) for tests, examples, and
-//!   benches.
+//!   on loopback (sharing one reactor pool and one delivery queue) for
+//!   tests, examples, and benches.
 //!
 //! The integration tests in `tests/` run multi-server agreement,
 //! including crash-failure and link-flap runs, over real TCP on

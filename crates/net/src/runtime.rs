@@ -13,7 +13,8 @@
 //! event-loop thread per server process, as deployed in the paper);
 //! [`crate::cluster::LocalCluster`] shares one pool across every
 //! in-process node via [`NodeRuntime::start_on`], keeping the whole
-//! cluster at O(cores) threads.
+//! cluster at O(cores) threads. Each pool has one delivery queue
+//! ([`delivery_queue`]) that its reactors push finished rounds onto.
 //!
 //! Message flow direction matches the overlay: a server *connects out*
 //! to its successors (it sends to them) and *accepts in* from its
@@ -175,15 +176,35 @@ pub fn accept_retry_delay(consecutive_failures: u32) -> Duration {
     BASE.checked_mul(1u32 << exp).map(|d| d.min(CAP)).unwrap_or(CAP)
 }
 
+/// Rounds one reactor iteration finished, each tagged with the server
+/// that finished it; one server's rounds appear in the order it
+/// finished them.
+pub type DeliveryBatch = Vec<(ServerId, Delivery)>;
+
+/// Sending end of a pool's delivery queue (held by its reactors).
+pub type DeliverySender = Sender<DeliveryBatch>;
+
+/// Receiving end of a pool's delivery queue: batches in the order the
+/// reactors published them, so rounds are FIFO per server and in
+/// arrival order across servers.
+pub type DeliveryReceiver = Receiver<DeliveryBatch>;
+
+/// A fresh delivery queue. Unbounded: deliveries are consumed by the
+/// application at its own pace and must never stall a reactor mid-round.
+pub fn delivery_queue() -> (DeliverySender, DeliveryReceiver) {
+    // lint:allow(bounded_queues): delivery backlog is bounded upstream by rsm admission control; blocking the protocol thread on a slow application consumer would deadlock rounds cluster-wide
+    unbounded()
+}
+
 /// Handle to a running AllConcur server on real sockets.
 ///
 /// The server itself lives on an [`EventLoopPool`] reactor; this handle
-/// owns the channels into and out of it (and, for a standalone
-/// [`NodeRuntime::start`], the private pool).
+/// owns the channel into it (and, for a standalone
+/// [`NodeRuntime::start`], the private pool). Its finished rounds leave
+/// on the pool's delivery queue.
 pub struct NodeRuntime {
     id: ServerId,
     input_tx: Sender<NodeInput>,
-    delivery_rx: Receiver<Delivery>,
     stats: Arc<LinkStats>,
     pool: Arc<EventLoopPool>,
     token: NodeToken,
@@ -193,7 +214,8 @@ impl NodeRuntime {
     /// Start server `id` on its own private event loop (the paper's
     /// one-process-per-server deployment). `listener`/`udp` must
     /// already be bound; `tcp_addrs`/`udp_addrs` give every server's
-    /// addresses (index = server id).
+    /// addresses (index = server id). Returns the handle and the
+    /// receiving end of the server's delivery queue.
     pub fn start(
         id: ServerId,
         cfg: Config,
@@ -202,14 +224,18 @@ impl NodeRuntime {
         tcp_addrs: Vec<SocketAddr>,
         udp_addrs: Vec<SocketAddr>,
         opts: RuntimeOptions,
-    ) -> std::io::Result<NodeRuntime> {
-        let pool = EventLoopPool::new(1)?;
-        NodeRuntime::start_on(&pool, id, cfg, listener, udp, tcp_addrs, udp_addrs, opts)
+    ) -> std::io::Result<(NodeRuntime, DeliveryReceiver)> {
+        let (deliveries, delivered) = delivery_queue();
+        let pool = EventLoopPool::new(1, deliveries)?;
+        let node =
+            NodeRuntime::start_on(&pool, id, cfg, listener, udp, tcp_addrs, udp_addrs, opts)?;
+        Ok((node, delivered))
     }
 
-    /// Start server `id` on a shared reactor pool. Used by
+    /// Start server `id` on a shared reactor pool; its finished rounds
+    /// go onto the pool's delivery queue. Used by
     /// [`crate::cluster::LocalCluster`] to run a whole in-process
-    /// cluster on O(cores) threads.
+    /// cluster on O(cores) threads and one delivery queue.
     #[allow(clippy::too_many_arguments)]
     pub fn start_on(
         pool: &Arc<EventLoopPool>,
@@ -222,10 +248,6 @@ impl NodeRuntime {
         opts: RuntimeOptions,
     ) -> std::io::Result<NodeRuntime> {
         let (input_tx, input_rx) = bounded::<NodeInput>(INPUT_QUEUE_DEPTH);
-        // Deliveries are consumed by the application at its own pace and
-        // must never stall the reactor mid-round.
-        // lint:allow(bounded_queues): delivery backlog is bounded upstream by rsm admission control; blocking the protocol thread on a slow application consumer would deadlock rounds cluster-wide
-        let (delivery_tx, delivery_rx) = unbounded::<Delivery>();
         let stats = Arc::new(LinkStats::default());
         let token = pool.register(NodeSpec {
             id,
@@ -236,10 +258,9 @@ impl NodeRuntime {
             udp_addrs,
             opts,
             input_rx,
-            delivery_tx,
             stats: stats.clone(),
         })?;
-        Ok(NodeRuntime { id, input_tx, delivery_rx, stats, pool: pool.clone(), token })
+        Ok(NodeRuntime { id, input_tx, stats, pool: pool.clone(), token })
     }
 
     /// This server's id.
@@ -273,16 +294,6 @@ impl NodeRuntime {
         ok
     }
 
-    /// Blocking receive of the next delivery, with timeout.
-    pub fn recv_delivery(&self, timeout: Duration) -> Option<Delivery> {
-        self.delivery_rx.recv_timeout(timeout).ok()
-    }
-
-    /// Non-blocking receive of the next delivery.
-    pub fn try_recv_delivery(&self) -> Option<Delivery> {
-        self.delivery_rx.try_recv().ok()
-    }
-
     /// Inject a failure suspicion, as if the local FD had raised it.
     /// Used by the `Cluster` facade's lifecycle API and by `◇P` tests.
     pub fn inject_suspicion(&self, suspect: ServerId) {
@@ -308,17 +319,11 @@ impl NodeRuntime {
 
     /// Remove the node from its reactor and close its sockets — a
     /// graceful shutdown and an emulated crash are the same thing (peers
-    /// detect via disconnect/FD). Returns every delivery the server
-    /// produced that the application had not yet received; draining
-    /// happens *after* the reactor has torn the node down, so no
-    /// completed round can slip away in the teardown window.
-    pub fn shutdown(self) -> Vec<Delivery> {
+    /// detect via disconnect/FD). Returns once the reactor has torn the
+    /// node down, so every round it finished is already on the delivery
+    /// queue, where it stays readable.
+    pub fn shutdown(self) {
         self.pool.remove(self.token);
-        let mut drained = Vec::new();
-        while let Some(d) = self.try_recv_delivery() {
-            drained.push(d);
-        }
-        drained
     }
 }
 

@@ -20,7 +20,7 @@
 //! one with sequence `k` — batching-aware, no request ids on the wire.
 
 use crate::error::{FailReason, ServiceError};
-use allconcur_cluster::{Cluster, ClusterError};
+use allconcur_cluster::{deadline_after, Cluster, ClusterError};
 use allconcur_core::delivery::Delivery;
 use allconcur_core::replica::{Codec, Replica, StateMachine};
 use allconcur_core::{Round, ServerId};
@@ -195,12 +195,7 @@ impl Deadline {
         if backend == "sim" {
             Deadline::Virtual(timeout)
         } else {
-            // `Instant::now() + timeout`, surviving `Duration::MAX`.
-            let now = Instant::now();
-            Deadline::Wall(
-                now.checked_add(timeout)
-                    .unwrap_or_else(|| now + Duration::from_secs(60 * 60 * 24 * 365)),
-            )
+            Deadline::Wall(deadline_after(timeout))
         }
     }
 
