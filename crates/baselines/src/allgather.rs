@@ -59,8 +59,7 @@ pub fn simulate_allgather(
 /// Blocking collectives over TCP lose time to step synchronisation
 /// (slowest rank gates every step), protocol switch-over, and copy
 /// overhead; Open MPI over IPoIB measures around 45% of line rate at the
-/// paper's scale, which reproduces Fig. 10a's ≈12 Gbps peak (see
-/// EXPERIMENTS.md for the calibration).
+/// paper's scale, which reproduces Fig. 10a's ≈12 Gbps peak.
 pub fn simulate_allgather_eff(
     n: usize,
     block_bytes: usize,

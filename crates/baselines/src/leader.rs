@@ -22,8 +22,7 @@
 //!   [`allconcur_sim::network`] primitives AllConcur uses, with a
 //!   configurable per-message software overhead at the group members
 //!   (Libpaxos processes every value through a full protocol stack;
-//!   `software_overhead` defaults to a Libpaxos-class 35 µs/message,
-//!   see EXPERIMENTS.md for the calibration);
+//!   `software_overhead` defaults to a Libpaxos-class 35 µs/message);
 //! * [`InMemoryLeader`] — a zero-latency functional model used by the
 //!   correctness tests to check ordering semantics (total order follows
 //!   from the leader sequencing updates).
@@ -47,7 +46,7 @@ pub struct LeaderConfig {
     /// Per-byte software cost (ns/B) at group members: Libpaxos copies
     /// every value through its single-threaded protocol stack, which
     /// processes on the order of 1 GB/s. Calibrated so the n = 8 peak
-    /// lands on Fig. 10c's ≈0.45 Gbps (see EXPERIMENTS.md).
+    /// lands on Fig. 10c's ≈0.45 Gbps.
     pub software_gap_per_byte_ns: f64,
 }
 

@@ -25,7 +25,7 @@ const REQ: usize = 8;
 
 /// Fraction of the ideal step rate Open MPI's blocking allgather sustains
 /// over TCP (step synchronisation + copies); calibrated to Fig. 10a's
-/// ≈12 Gbps peak — see EXPERIMENTS.md.
+/// ≈12 Gbps peak.
 const MPI_EFFICIENCY: f64 = 0.45;
 
 fn sizes(full: bool) -> Vec<usize> {

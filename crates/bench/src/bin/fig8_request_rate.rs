@@ -10,7 +10,7 @@
 //! empty), rising once batches contribute wire occupancy, then unstable
 //! ("unbounded batching makes the system unstable once the request rate
 //! exceeds the agreement throughput" — §5). TCP ≈ 3× the IBV latency.
-//! Note (EXPERIMENTS.md): the paper's 8-servers × 100M req/s @ 35 µs
+//! Note: the paper's 8-servers × 100M req/s @ 35 µs
 //! headline exceeds the 40 Gbps NIC's capacity for 64-byte requests, so
 //! our saturation knee sits at lower rates.
 

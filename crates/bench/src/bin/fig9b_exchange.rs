@@ -8,9 +8,10 @@
 //!
 //! Paper shape to check: for a fixed system rate, more servers mean less
 //! load per server but more synchronisation — latency grows with n; 8
-//! servers absorb 100M req/s below 90 µs... (see EXPERIMENTS.md for the
-//! bandwidth caveat), 512 servers handle 1M req/s under 20 ms, and 1024
-//! jumps ≈4× because the 6-nines overlay needs degree 11.
+//! servers absorb 100M req/s below 90 µs... (see `fig8_request_rate`
+//! for the NIC-bandwidth caveat), 512 servers handle 1M req/s under
+//! 20 ms, and 1024 jumps ≈4× because the 6-nines overlay needs degree
+//! 11.
 
 use allconcur_bench::output::{fmt_time, has_flag, Table};
 use allconcur_bench::workloads::{paper_overlay, run_rate_workload, RateWorkload};

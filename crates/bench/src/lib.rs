@@ -3,9 +3,7 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (§5); see DESIGN.md's experiment index for the
-//! mapping and EXPERIMENTS.md for recorded paper-vs-measured results.
-//! The Criterion benches in `benches/` cover the same machinery at micro
-//! scale.
+//! mapping.
 //!
 //! * [`workloads`] — the three §1.1 application profiles (travel
 //!   reservation, multiplayer games, distributed exchange) expressed as

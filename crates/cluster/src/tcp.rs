@@ -83,8 +83,8 @@ impl Transport for TcpTransport {
             return Err(ClusterError::ServerDown(origin));
         }
         if !cluster.broadcast(origin, payload) {
-            // The node's bounded input queue stayed full past its
-            // patience window: the submission was shed with no effect.
+            // The node's bounded input queue was full: the submission
+            // was shed with no effect.
             return Err(ClusterError::Busy { retry_after: SUBMIT_RETRY_AFTER });
         }
         Ok(())

@@ -123,6 +123,26 @@ fn seq_at(tokens: &[Token], i: usize, pattern: &[Tok]) -> bool {
         })
 }
 
+/// Whether the `use` group opening with the `{` at `open` names `name`
+/// at its top level (`{a, name, b}`, not `{a::{name}}`).
+fn group_names(tokens: &[Token], open: usize, name: &str) -> bool {
+    let mut depth = 0usize;
+    for t in &tokens[open..] {
+        match &t.tok {
+            Tok::Punct('{') => depth += 1,
+            Tok::Punct('}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            Tok::Ident(s) if depth == 1 && s == name => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
 fn id(s: &str) -> Tok {
     Tok::Ident(s.to_string())
 }
@@ -232,10 +252,15 @@ pub fn scan_file(f: &SourceFile<'_>) -> Vec<Violation> {
             let line = toks[i].line;
             // `unbounded(` and `unbounded::<` catch both the plain call
             // and the turbofish form; `mpsc::channel` catches std's
-            // unbounded constructor (std's bounded one is sync_channel).
+            // unbounded constructor (std's bounded one is sync_channel)
+            // and its import by path, and `mpsc::{.., channel, ..}` its
+            // import in a group, which would let a bare `channel()`
+            // through.
             let hit = seq_at(toks, i, &[id("unbounded"), p('(')])
                 || seq_at(toks, i, &[id("unbounded"), p(':'), p(':'), p('<')])
-                || seq_at(toks, i, &[id("mpsc"), p(':'), p(':'), id("channel")]);
+                || seq_at(toks, i, &[id("mpsc"), p(':'), p(':'), id("channel")])
+                || (seq_at(toks, i, &[id("mpsc"), p(':'), p(':'), p('{')])
+                    && group_names(toks, i + 3, "channel"));
             if hit {
                 out.push(
                     f.violation(

@@ -65,16 +65,21 @@ fn no_alloc_rule_checks_only_hot_path_regions() {
 #[test]
 fn bounded_queues_rule_fires_and_is_scoped() {
     let src = fixture("bounded_queues.rs");
-    // In scope (net): plain, turbofish, and std forms all fire; bounded
-    // constructors and the `use` import never match.
+    // In scope (net): plain, turbofish, and std forms all fire, and so
+    // does importing std's `channel` by path or in a `use` group;
+    // bounded constructors, the bare call and the crossbeam `use`
+    // import never match.
     let (vs, suppressed) = scan_source("crates/net/src/fixture.rs", &src);
-    assert_eq!(count(&vs, "bounded_queues"), 3, "{vs:#?}");
+    assert_eq!(count(&vs, "bounded_queues"), 5, "{vs:#?}");
+    assert!(vs.iter().any(|v| v.snippet.contains("use std::sync::mpsc::{")), "{vs:#?}");
+    assert!(vs.iter().any(|v| v.snippet.contains("use std::sync::mpsc::channel;")), "{vs:#?}");
+    assert!(!vs.iter().any(|v| v.snippet.contains("= channel()")), "{vs:#?}");
     assert_eq!(suppressed, 1, "justified allow suppresses exactly one");
     assert!(!vs.iter().any(|v| v.snippet.contains("= bounded::")), "{vs:#?}");
     assert!(!vs.iter().any(|v| v.snippet.contains("sync_channel")), "{vs:#?}");
     assert!(!vs.iter().any(|v| v.snippet.contains("use crossbeam")), "{vs:#?}");
     // The #[cfg(test)] module's unbounded channel is exempt.
-    assert!(!vs.iter().any(|v| v.line > 16), "test module must be exempt: {vs:#?}");
+    assert!(!vs.iter().any(|v| v.line > 21), "test module must be exempt: {vs:#?}");
     // Out of scope (rsm): clean.
     let (vs, _) = scan_source("crates/rsm/src/fixture.rs", &src);
     assert_eq!(count(&vs, "bounded_queues"), 0, "{vs:#?}");

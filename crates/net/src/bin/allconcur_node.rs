@@ -125,7 +125,7 @@ fn main() {
     // Delivery printer thread.
     let stdin = std::io::stdin();
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        scope.spawn(move || {
             while let Ok(batch) = deliveries.recv() {
                 for (_, d) in batch {
                     let rendered: Vec<String> = d

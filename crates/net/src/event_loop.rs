@@ -45,7 +45,7 @@ use crate::codec::{
     encode_frame, is_corrupt_frame, parse_handshake, write_handshake, FrameReader, HANDSHAKE_LEN,
 };
 use crate::heartbeat::{self, AdaptiveTimeout, HeartbeatTable};
-use crate::link::{BackoffPolicy, FrameQueue, LinkStats, WriteBuf};
+use crate::link::{xorshift_star, BackoffPolicy, FrameQueue, LinkStats, WriteBuf};
 use crate::runtime::{
     accept_retry_delay, link_seed, same_message, Delivery, DeliveryBatch, DeliverySender,
     LinkFault, NodeInput, RuntimeOptions, DROP_PPM_SCALE,
@@ -55,13 +55,12 @@ use allconcur_core::message::Message;
 use allconcur_core::server::{Action, Event, Server};
 use allconcur_core::ServerId;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Token reserved for each reactor's eventfd waker.
@@ -143,20 +142,20 @@ pub(crate) struct NodeSpec {
     pub tcp_addrs: Vec<SocketAddr>,
     pub udp_addrs: Vec<SocketAddr>,
     pub opts: RuntimeOptions,
-    pub input_rx: Receiver<NodeInput>,
+    pub input_rx: mpsc::Receiver<NodeInput>,
     pub stats: Arc<LinkStats>,
 }
 
 enum Ctrl {
     /// Install a node; the ack carries registration errors (bad
     /// sockets, epoll exhaustion) back to the caller.
-    Register(u64, Box<NodeSpec>, Sender<io::Result<()>>),
+    Register(u64, Box<NodeSpec>, mpsc::SyncSender<io::Result<()>>),
     /// Tear a node down (close its sockets, drop its state), then ack.
-    Remove(u64, Sender<()>),
+    Remove(u64, mpsc::SyncSender<()>),
 }
 
 struct ReactorHandle {
-    ctrl_tx: Sender<Ctrl>,
+    ctrl_tx: mpsc::SyncSender<Ctrl>,
     waker: Arc<Waker>,
     /// Joined when the pool drops.
     thread: Option<std::thread::JoinHandle<()>>,
@@ -197,7 +196,7 @@ impl EventLoopPool {
         let Some(h) = self.reactors.get(reactor) else {
             return Err(io::Error::other("event-loop pool has no reactors"));
         };
-        let (ack_tx, ack_rx) = bounded(1);
+        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
         h.ctrl_tx
             .send(Ctrl::Register(key, Box::new(spec), ack_tx))
             .map_err(|_| io::Error::other("reactor thread is gone"))?;
@@ -217,7 +216,7 @@ impl EventLoopPool {
     /// delivery queue when this returns.
     pub(crate) fn remove(&self, token: NodeToken) {
         let Some(h) = self.reactors.get(token.reactor) else { return };
-        let (ack_tx, ack_rx) = bounded(1);
+        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
         if h.ctrl_tx.send(Ctrl::Remove(token.key, ack_tx)).is_ok() {
             let _ = h.waker.wake();
             let _ = ack_rx.recv_timeout(Duration::from_secs(5));
@@ -258,7 +257,7 @@ impl ReactorHandle {
         let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
         // Control messages are rare (node lifecycle only); a small
         // bounded channel is plenty and keeps the queue story uniform.
-        let (ctrl_tx, ctrl_rx) = bounded::<Ctrl>(64);
+        let (ctrl_tx, ctrl_rx) = mpsc::sync_channel::<Ctrl>(64);
         let reactor = Reactor {
             poll,
             waker: waker.clone(),
@@ -317,7 +316,7 @@ impl Cx<'_> {
 struct Reactor {
     poll: Poll,
     waker: Arc<Waker>,
-    ctrl_rx: Receiver<Ctrl>,
+    ctrl_rx: mpsc::Receiver<Ctrl>,
     stop: Arc<AtomicBool>,
     out: Publisher,
     nodes: HashMap<u64, NodeState>,
@@ -594,7 +593,7 @@ struct NodeState {
     id: ServerId,
     key: u64,
     server: Server,
-    input_rx: Receiver<NodeInput>,
+    input_rx: mpsc::Receiver<NodeInput>,
     actions: Vec<Action>,
     /// Links whose `WriteBuf` gained frames this batch; flushed once
     /// per loop iteration (one `writev` per ready link per batch).
@@ -762,12 +761,7 @@ impl NodeState {
                     // Injected send-loss: the frame never leaves the
                     // writer path.
                     if let Some(&ppm) = self.drop_ppm.get(&to) {
-                        let mut x = self.drop_rng;
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        self.drop_rng = x;
-                        if x.wrapping_mul(0x2545_f491_4f6c_dd1d) % DROP_PPM_SCALE < ppm as u64 {
+                        if xorshift_star(&mut self.drop_rng) % DROP_PPM_SCALE < ppm as u64 {
                             continue;
                         }
                     }
@@ -801,12 +795,7 @@ impl NodeState {
     /// place; only this destination sees the damage.
     fn maybe_flip(&mut self, to: &ServerId, frame: Bytes) -> Bytes {
         let Some(&ppm) = self.flip_ppm.get(to) else { return frame };
-        let mut x = self.flip_rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.flip_rng = x;
-        let sample = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        let sample = xorshift_star(&mut self.flip_rng);
         if sample % DROP_PPM_SCALE >= ppm as u64 || frame.is_empty() {
             return frame;
         }

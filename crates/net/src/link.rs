@@ -26,15 +26,20 @@ use std::io::{self, IoSlice, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// xorshift64* step — the same tiny generator the runtime's drop
-/// sampler uses, so resilience code adds no dependency on `rand`.
-fn xorshift_star(mut x: u64) -> u64 {
-    if x == 0 {
-        x = 0x9e37_79b9_7f4a_7c15;
+/// xorshift64* step: advance `state` and return the scrambled output.
+/// The one generator behind backoff jitter and the reactor's injected
+/// drop and bit-flip samplers, so transport code adds no dependency on
+/// `rand`. A zero state (xorshift's fixed point) restarts from a fixed
+/// constant; a nonzero state never steps to zero.
+pub(crate) fn xorshift_star(state: &mut u64) -> u64 {
+    if *state == 0 {
+        *state = 0x9e37_79b9_7f4a_7c15;
     }
+    let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
+    *state = x;
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
@@ -70,7 +75,8 @@ impl BackoffPolicy {
         let base = u64::try_from(self.base.as_nanos()).unwrap_or(u64::MAX);
         let cap = u64::try_from(self.cap.as_nanos()).unwrap_or(u64::MAX);
         let exp = base.saturating_mul(mult).min(cap);
-        let jitter = xorshift_star(self.seed ^ u64::from(attempt).wrapping_add(1)) % (exp / 2 + 1);
+        let mut state = self.seed ^ u64::from(attempt).wrapping_add(1);
+        let jitter = xorshift_star(&mut state) % (exp / 2 + 1);
         Duration::from_nanos(exp.saturating_add(jitter))
     }
 }
@@ -458,6 +464,35 @@ mod tests {
         // Different seeds de-phase.
         let r = BackoffPolicy::new(Duration::from_millis(5), Duration::from_millis(80), 43);
         assert!((0..8).any(|k| r.delay(k) != p.delay(k)), "jitter must depend on the seed");
+    }
+
+    /// The shared step replays the streams the transport has always
+    /// drawn: expected values come from the inline xorshift64* the drop
+    /// sampler and backoff used before they shared [`xorshift_star`].
+    #[test]
+    fn xorshift_streams_are_pinned() {
+        // Server 0's drop sampler (`NodeState::drop_rng`'s seed).
+        let mut drop_rng = 0x9e37_79b9_7f4a_7c15 ^ 1;
+        let drawn: Vec<u64> = (0..8).map(|_| xorshift_star(&mut drop_rng)).collect();
+        assert_eq!(
+            drawn,
+            [
+                0x80de_0d51_ab4e_2fbc,
+                0xcec2_9323_da27_a53b,
+                0x3775_578f_8eff_d183,
+                0xff70_4c37_51a6_922d,
+                0x3e80_d780_a67e_cc85,
+                0x6ca8_a75b_aea0_5c98,
+                0x03d4_25cc_33b5_5786,
+                0xfba6_5b24_8ebe_2a2b,
+            ]
+        );
+        let p = BackoffPolicy::new(Duration::from_millis(5), Duration::from_millis(80), 42);
+        let nanos: Vec<u128> = (0..6).map(|k| p.delay(k).as_nanos()).collect();
+        assert_eq!(
+            nanos,
+            [7_476_664, 10_562_951, 25_385_077, 54_149_860, 111_722_723, 116_333_449]
+        );
     }
 
     #[test]

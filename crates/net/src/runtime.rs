@@ -44,9 +44,8 @@ use allconcur_core::config::Config;
 use allconcur_core::message::Message;
 use allconcur_core::ServerId;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// One completed round, as seen by the application.
@@ -182,18 +181,18 @@ pub fn accept_retry_delay(consecutive_failures: u32) -> Duration {
 pub type DeliveryBatch = Vec<(ServerId, Delivery)>;
 
 /// Sending end of a pool's delivery queue (held by its reactors).
-pub type DeliverySender = Sender<DeliveryBatch>;
+pub type DeliverySender = mpsc::Sender<DeliveryBatch>;
 
 /// Receiving end of a pool's delivery queue: batches in the order the
 /// reactors published them, so rounds are FIFO per server and in
 /// arrival order across servers.
-pub type DeliveryReceiver = Receiver<DeliveryBatch>;
+pub type DeliveryReceiver = mpsc::Receiver<DeliveryBatch>;
 
 /// A fresh delivery queue. Unbounded: deliveries are consumed by the
 /// application at its own pace and must never stall a reactor mid-round.
 pub fn delivery_queue() -> (DeliverySender, DeliveryReceiver) {
     // lint:allow(bounded_queues): delivery backlog is bounded upstream by rsm admission control; blocking the protocol thread on a slow application consumer would deadlock rounds cluster-wide
-    unbounded()
+    mpsc::channel()
 }
 
 /// Handle to a running AllConcur server on real sockets.
@@ -204,7 +203,7 @@ pub fn delivery_queue() -> (DeliverySender, DeliveryReceiver) {
 /// on the pool's delivery queue.
 pub struct NodeRuntime {
     id: ServerId,
-    input_tx: Sender<NodeInput>,
+    input_tx: mpsc::SyncSender<NodeInput>,
     stats: Arc<LinkStats>,
     pool: Arc<EventLoopPool>,
     token: NodeToken,
@@ -247,7 +246,7 @@ impl NodeRuntime {
         udp_addrs: Vec<SocketAddr>,
         opts: RuntimeOptions,
     ) -> std::io::Result<NodeRuntime> {
-        let (input_tx, input_rx) = bounded::<NodeInput>(INPUT_QUEUE_DEPTH);
+        let (input_tx, input_rx) = mpsc::sync_channel::<NodeInput>(INPUT_QUEUE_DEPTH);
         let stats = Arc::new(LinkStats::default());
         let token = pool.register(NodeSpec {
             id,
@@ -275,19 +274,13 @@ impl NodeRuntime {
         }
     }
 
-    /// Submit this round's payload for A-broadcast. Returns `false`
-    /// when the protocol input queue is saturated (end-to-end
-    /// backpressure) — the caller should back off and retry; the
-    /// payload was **not** accepted.
+    /// Submit this round's payload for A-broadcast. Never blocks: returns
+    /// `false` at once when the protocol input queue is full (end-to-end
+    /// backpressure) or the reactor is gone — the caller should back off
+    /// and retry; the payload was **not** accepted.
     #[must_use = "a false return means the payload was shed, not submitted"]
     pub fn broadcast(&self, payload: Bytes) -> bool {
-        // A short patience window absorbs sub-millisecond bursts without
-        // turning them into spurious Busy errors; genuine saturation
-        // (reactor pinned) still fails fast.
-        let ok = self
-            .input_tx
-            .send_timeout(NodeInput::Broadcast(payload), Duration::from_millis(5))
-            .is_ok();
+        let ok = self.input_tx.try_send(NodeInput::Broadcast(payload)).is_ok();
         if ok {
             self.pool.wake(self.token);
         }

@@ -4,8 +4,8 @@
 //! ("Work (LogP)" and "Depth (LogP)") and in the §4.2.2 probabilistic
 //! depth analysis. The simulator should track them — the paper uses the
 //! agreement between model and measurement as evidence the implementation
-//! behaves as designed, and so do we (see `benches/` and the integration
-//! tests).
+//! behaves as designed, and so do we (see `tests/early_termination.rs`
+//! and `tests/paper_claims.rs`).
 
 use crate::network::NetworkModel;
 use crate::time::SimTime;

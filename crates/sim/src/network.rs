@@ -81,7 +81,7 @@ impl NetworkModel {
     /// system: `L = 12 µs`, `o = 1.8 µs`. The per-byte gap is calibrated
     /// so that AllConcur's peak agreement throughput at n = 8 lands on
     /// the paper's measured 8.6 Gbps (Fig. 10b), which implies ≈27 Gbps
-    /// of effective IPoIB bandwidth — see EXPERIMENTS.md.
+    /// of effective IPoIB bandwidth.
     pub fn tcp_cluster() -> Self {
         NetworkModel {
             latency: SimTime::from_us(12),
