@@ -9,6 +9,9 @@
 //!   Forbidding the type (not just iteration) is deliberate: iteration
 //!   is what leaks nondeterminism, but spotting iteration lexically is
 //!   unreliable, and these crates have no legitimate unordered-map use.
+//!   It also covers single files of other crates whose state machines
+//!   must stay clock-free: the net failure detector takes every instant
+//!   from its reactor.
 //! * `no_panic` — forbids `.unwrap(` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in non-test protocol
 //!   code; a peer-triggered panic in a protocol thread takes the node
@@ -46,6 +49,8 @@ use crate::lexer::{Lexed, Tok, Token};
 
 /// Crates scanned by the `determinism` rule.
 pub const DETERMINISM_CRATES: &[&str] = &["graph", "core", "sim", "nemesis"];
+/// Single files scanned by the `determinism` rule outside those crates.
+pub const DETERMINISM_FILES: &[&str] = &["crates/net/src/heartbeat.rs"];
 /// Crates scanned by the `no_panic` rule.
 pub const NO_PANIC_CRATES: &[&str] = &["core", "cluster", "rsm", "net", "durability"];
 /// Crates scanned by the `lock_order` rule.
@@ -160,7 +165,7 @@ pub fn scan_file(f: &SourceFile<'_>) -> Vec<Violation> {
 
     let live = |i: usize| !in_test.get(i).copied().unwrap_or(false);
 
-    if DETERMINISM_CRATES.contains(&f.crate_name) {
+    if DETERMINISM_CRATES.contains(&f.crate_name) || DETERMINISM_FILES.contains(&f.path) {
         for i in 0..toks.len() {
             if !live(i) {
                 continue;
@@ -171,8 +176,8 @@ pub fn scan_file(f: &SourceFile<'_>) -> Vec<Violation> {
                     f.violation(
                         "determinism",
                         line,
-                        "wall-clock read in deterministic crate; inject time via the sim \
-                     clock or scope to TCP-only paths"
+                        "wall-clock read in deterministic code; take the time as an \
+                     argument (the sim clock, a reactor iteration's timestamp)"
                             .into(),
                     ),
                 );
@@ -180,20 +185,20 @@ pub fn scan_file(f: &SourceFile<'_>) -> Vec<Violation> {
                 out.push(f.violation(
                     "determinism",
                     line,
-                    "SystemTime in deterministic crate; wall time leaks into transcripts".into(),
+                    "SystemTime in deterministic code; wall time leaks into transcripts".into(),
                 ));
             } else if toks[i].is_ident("thread_rng") {
                 out.push(f.violation(
                     "determinism",
                     line,
-                    "thread_rng in deterministic crate; use a seeded StdRng so runs replay".into(),
+                    "thread_rng in deterministic code; use a seeded StdRng so runs replay".into(),
                 ));
             } else if toks[i].is_ident("HashMap") || toks[i].is_ident("HashSet") {
                 out.push(f.violation(
                     "determinism",
                     line,
                     format!(
-                        "{} in deterministic crate; iteration order is nondeterministic — \
+                        "{} in deterministic code; iteration order is nondeterministic — \
                          use a dense Vec index, sorted Vec, or BTreeMap",
                         toks[i].ident().unwrap_or("hash container")
                     ),

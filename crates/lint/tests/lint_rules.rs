@@ -39,6 +39,19 @@ fn determinism_rule_is_scoped_per_crate() {
 }
 
 #[test]
+fn determinism_rule_covers_the_failure_detector_file() {
+    // The net failure detector is held to the rule by file, not crate:
+    // no clock read and no hash container outside its tests.
+    let src = fixture("determinism_file.rs");
+    let (vs, _) = scan_source("crates/net/src/heartbeat.rs", &src);
+    assert_eq!(count(&vs, "determinism"), 3, "HashMap twice + Instant::now: {vs:#?}");
+    assert!(!vs.iter().any(|v| v.snippet.contains("exempt")), "{vs:#?}");
+    // The rest of the net crate is not.
+    let (vs, _) = scan_source("crates/net/src/event_loop.rs", &src);
+    assert_eq!(count(&vs, "determinism"), 0, "{vs:#?}");
+}
+
+#[test]
 fn no_panic_rule_fires_and_exempts_tests() {
     let src = fixture("no_panic.rs");
     let (vs, suppressed) = scan_source("crates/core/src/fixture.rs", &src);

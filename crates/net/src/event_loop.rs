@@ -34,17 +34,16 @@
 //!
 //! Inbound connections run `InHandshake → In`, feeding a
 //! [`crate::codec::FrameReader`] — a read that would block simply
-//! returns to the loop instead of parking a thread. Heartbeats and the
-//! ◇P failure detector are two timer entries on the same loop (`Δ_hb`
-//! sends, `Δ_hb/2` expiry sweeps) over the node's own
-//! [`crate::heartbeat::HeartbeatTable`] and
-//! [`crate::heartbeat::AdaptiveTimeout`], stamped with the iteration's
-//! timestamp.
+//! returns to the loop instead of parking a thread. Heartbeats leave on
+//! a `Δ_hb` timer; received heartbeats and inbound connections coming
+//! and going feed the node's [`crate::heartbeat::Detector`], stamped
+//! with the iteration's timestamp, and its next deadline is one more
+//! timer on the loop.
 
 use crate::codec::{
     encode_frame, is_corrupt_frame, parse_handshake, write_handshake, FrameReader, HANDSHAKE_LEN,
 };
-use crate::heartbeat::{self, AdaptiveTimeout, HeartbeatTable};
+use crate::heartbeat::{self, Detector};
 use crate::link::{xorshift_star, BackoffPolicy, FrameQueue, LinkStats, WriteBuf};
 use crate::runtime::{
     accept_retry_delay, link_seed, same_message, Delivery, DeliveryBatch, DeliverySender,
@@ -608,13 +607,8 @@ struct NodeState {
     flip_ppm: HashMap<ServerId, u32>,
     flip_rng: u64,
     stats: Arc<LinkStats>,
-    adaptive: AdaptiveTimeout,
-    /// Live inbound connections per predecessor (a reconnect can
-    /// briefly overlap the old socket, so this counts).
-    reader_counts: HashMap<ServerId, u32>,
-    /// Predecessors whose last inbound connection dropped; suspicion
-    /// fires when the deadline passes without a reconnect.
-    reader_grace: HashMap<ServerId, Instant>,
+    /// Decides when a predecessor is suspected.
+    detector: Detector,
     links: HashMap<ServerId, OutLink>,
     conns: HashMap<usize, Conn>,
     listener: TcpListener,
@@ -629,10 +623,7 @@ struct NodeState {
     udp_token: usize,
     hb_frame: [u8; heartbeat::HEARTBEAT_LEN],
     succ_udp: Vec<SocketAddr>,
-    fd_poll: Duration,
     next_hb_send: Instant,
-    next_fd_check: Instant,
-    hb_table: HeartbeatTable,
     /// Application hung up or the node was shut down: the reactor reaps
     /// it (closing every socket) at the end of the iteration.
     dead: bool,
@@ -688,11 +679,6 @@ impl NodeState {
 
         let succ_udp: Vec<SocketAddr> =
             successors.iter().filter_map(|&s| udp_addrs.get(s as usize).copied()).collect();
-        // The ◇P recipe (§3.3.2): the suspicion timeout starts at Δ_to
-        // and grows on evidence of false suspicion (a link flap healing
-        // under grace), capped so genuinely dead peers are still caught.
-        let adaptive_cap = opts.fd.timeout.checked_mul(8).unwrap_or(opts.fd.timeout);
-        let fd_poll = (opts.fd.heartbeat_period / 2).max(Duration::from_millis(1));
 
         Ok(NodeState {
             id,
@@ -709,9 +695,7 @@ impl NodeState {
             flip_ppm: HashMap::new(),
             flip_rng: 0x6c62_272e_07bb_0142 ^ (id as u64 + 1),
             stats,
-            adaptive: AdaptiveTimeout::new(opts.fd.timeout, adaptive_cap.max(opts.fd.timeout)),
-            reader_counts: HashMap::new(),
-            reader_grace: HashMap::new(),
+            detector: Detector::new(&predecessors, opts.fd.timeout, opts.link_grace, cx.now),
             links,
             conns: HashMap::new(),
             listener,
@@ -723,10 +707,7 @@ impl NodeState {
             udp_token,
             hb_frame: heartbeat::encode_heartbeat(id),
             succ_udp,
-            fd_poll,
             next_hb_send: cx.now,
-            next_fd_check: cx.now + fd_poll,
-            hb_table: HeartbeatTable::new(&predecessors, cx.now),
             dead: false,
         })
     }
@@ -905,32 +886,6 @@ impl NodeState {
         }
     }
 
-    /// A predecessor's inbound connection completed its handshake:
-    /// cancel any pending disconnect grace — the flap healed, which is
-    /// exactly the §3.3.2 false-suspicion evidence the adaptive FD
-    /// timeout feeds on.
-    fn on_reader_up(&mut self, from: ServerId) {
-        *self.reader_counts.entry(from).or_insert(0) += 1;
-        if self.reader_grace.remove(&from).is_some() {
-            self.stats.on_healed();
-            self.adaptive.report_false_suspicion();
-        }
-    }
-
-    /// A predecessor's inbound connection dropped: when it was the
-    /// last one, start the disconnect grace instead of suspecting
-    /// immediately.
-    fn on_reader_gone(&mut self, from: ServerId) {
-        self.stats.on_reader_disconnect();
-        let count = self.reader_counts.entry(from).or_insert(0);
-        *count = count.saturating_sub(1);
-        if *count > 0 {
-            return;
-        }
-        let grace = self.opts.link_grace;
-        self.reader_grace.entry(from).or_insert_with(|| Instant::now() + grace);
-    }
-
     // --- input channel -------------------------------------------------
 
     /// Drain up to [`MAX_BATCH_DRAIN`] queued inputs. Returns whether
@@ -959,9 +914,9 @@ impl NodeState {
         match input {
             NodeInput::Broadcast(payload) => self.process(cx, Event::ABroadcast(payload)),
             NodeInput::Suspect(s) => {
-                // The FD and disconnect paths can both report the same
-                // suspicion; the state machine dedups via F_i.
-                self.process(cx, Event::Suspect { suspect: s })
+                if self.detector.injected(s) {
+                    self.process(cx, Event::Suspect { suspect: s })
+                }
             }
             NodeInput::SetWindow(w) => self.server.set_round_window(w),
             NodeInput::Fault { to, fault } => self.apply_fault(cx, to, fault),
@@ -1046,7 +1001,7 @@ impl NodeState {
             match self.udp.recv_from(&mut buf) {
                 Ok((n, _)) => {
                     if let Some(from) = heartbeat::decode_heartbeat(&buf[..n]) {
-                        self.hb_table.record(from, now);
+                        self.detector.heartbeat(from, now);
                     }
                     // else: malformed datagram, drop
                 }
@@ -1238,16 +1193,20 @@ impl NodeState {
         }
         match result {
             None => {} // handshake still partial: wait for more bytes
-            Some(None) => {
-                self.close_conn(cx, tok);
-            }
-            Some(Some(from)) => {
+            // Only predecessors connect in: any other claimed id is a
+            // stray or forged connection.
+            Some(Some(from)) if self.detector.monitors(from) => {
                 if let Some(conn) = self.conns.get_mut(&tok) {
                     conn.kind = ConnKind::In { from, reader: FrameReader::new() };
                 }
-                self.on_reader_up(from);
+                if self.detector.inbound_up(from) {
+                    self.stats.on_healed();
+                }
                 // Frames behind the handshake are still in the socket
                 // buffer; level-triggered epoll re-reports them.
+            }
+            Some(_) => {
+                self.close_conn(cx, tok);
             }
         }
     }
@@ -1292,7 +1251,8 @@ impl NodeState {
                     self.stats.on_corrupt_frame();
                 }
                 self.close_conn(cx, tok);
-                self.on_reader_gone(from);
+                self.stats.on_reader_disconnect();
+                self.detector.inbound_down(from, cx.now);
                 return;
             }
             if !full_batch {
@@ -1604,8 +1564,8 @@ impl NodeState {
     // --- timers ---------------------------------------------------------
 
     /// Earliest pending deadline across all timed state: heartbeats,
-    /// FD sweeps, the app-grace gate, link graces and reconnect timers,
-    /// reader graces, flap auto-heals, and the accept-backoff resume.
+    /// the failure detector, the app-grace gate, link graces and
+    /// reconnect timers, flap auto-heals, and the accept-backoff resume.
     fn next_deadline(&self) -> Option<Instant> {
         let mut next: Option<Instant> = None;
         let mut fold = |d: Instant| {
@@ -1615,7 +1575,9 @@ impl NodeState {
             });
         };
         fold(self.next_hb_send);
-        fold(self.next_fd_check);
+        if let Some(d) = self.detector.next_deadline() {
+            fold(d);
+        }
         if let Some(d) = self.gate_deadline {
             fold(d);
         }
@@ -1635,9 +1597,6 @@ impl NodeState {
             if let Some(Hold::Until(t)) = link.hold {
                 fold(t);
             }
-        }
-        for &d in self.reader_grace.values() {
-            fold(d);
         }
         next
     }
@@ -1669,13 +1628,11 @@ impl NodeState {
         for to in expired {
             self.link_to_down(cx, to, true);
         }
-        // Reader graces that ran out escalate to the ◇P suspicion path.
-        let suspects: Vec<ServerId> =
-            self.reader_grace.iter().filter(|(_, &d)| d <= now).map(|(&k, _)| k).collect();
-        for from in suspects {
-            self.reader_grace.remove(&from);
+        // Predecessors the failure detector now suspects: heartbeat
+        // silence or a reader grace that ran out.
+        while let Some(p) = self.detector.expired(now) {
             self.stats.on_suspicion();
-            self.process(cx, Event::Suspect { suspect: from });
+            self.process(cx, Event::Suspect { suspect: p });
             if self.dead {
                 return;
             }
@@ -1737,16 +1694,6 @@ impl NodeState {
                 let _ = self.udp.send_to(&self.hb_frame, addr);
             }
             self.next_hb_send = now + self.opts.fd.heartbeat_period;
-        }
-        // FD expiry sweep (Δ_hb/2), using the adaptive ◇P timeout.
-        if self.next_fd_check <= now {
-            self.next_fd_check = now + self.fd_poll;
-            for s in self.hb_table.expired(now, self.adaptive.current()) {
-                self.process(cx, Event::Suspect { suspect: s });
-                if self.dead {
-                    return;
-                }
-            }
         }
     }
 

@@ -17,18 +17,19 @@
 //!   either byte layout);
 //! * [`event_loop`] — the epoll reactor pool: per-link readiness state
 //!   machines, coalesced vectored writes, timer-driven reconnect
-//!   backoff, heartbeat emission, FD sweeps, and injected link faults,
-//!   all on O(cores) threads;
+//!   backoff, heartbeat emission, failure-detector deadlines, and
+//!   injected link faults, all on O(cores) threads;
 //! * [`runtime`] — per-server handle: registers a server with a
 //!   reactor and owns its input channel (broadcasts, suspicions,
 //!   faults), the delivery queue its reactor pushes finished rounds
 //!   onto, the [`RuntimeOptions`](runtime::RuntimeOptions) knobs, and
 //!   the one fault-injection call ([`LinkFault`]);
-//! * [`heartbeat`] — the heartbeat datagram and the reactor-owned state
-//!   of the timeout-based failure detector (`Δ_hb` / `Δ_to`, §3.2)
-//!   with the §3.3.2 adaptive timeout; connection loss escalates to a
-//!   suspicion only after the link-grace budget expires without a
-//!   reconnect;
+//! * [`heartbeat`] — the heartbeat datagram and the clock-free
+//!   [`heartbeat::Detector`]: one suspicion machine per predecessor,
+//!   fed heartbeats (`Δ_hb` / `Δ_to`, §3.2) and inbound connections
+//!   coming and going, owning the §3.3.2 adaptive timeout; connection
+//!   loss escalates to a suspicion only after the link-grace budget
+//!   expires without a reconnect;
 //! * [`link`] — per-link resilience primitives: capped-backoff-with-
 //!   jitter reconnect policy, bounded watermarked frame queues, the
 //!   coalescing write buffer, and the resilience counters;

@@ -382,7 +382,8 @@ impl LinkStats {
         self.healed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A disconnect grace expired and escalated to a suspicion.
+    /// The failure detector suspected a predecessor (heartbeat silence
+    /// or an expired disconnect grace); injected suspicions do not count.
     pub fn on_suspicion(&self) {
         self.suspicions.fetch_add(1, Ordering::Relaxed);
     }
@@ -437,7 +438,7 @@ pub struct LinkStatsSnapshot {
     pub reader_disconnects: u64,
     /// Disconnect graces cancelled by a predecessor reconnecting.
     pub healed: u64,
-    /// Disconnect graces that expired into suspicions.
+    /// Predecessors the failure detector suspected, each at most once.
     pub suspicions: u64,
     /// Inbound frames rejected by the CRC/decode check (each dropped
     /// the connection, which then healed through reader grace).

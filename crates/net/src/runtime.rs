@@ -4,10 +4,10 @@
 //! socket, outbound links, protocol state machine — with an
 //! [`EventLoopPool`] reactor (see [`crate::event_loop`]). The reactor
 //! owns all of it: accepting, handshakes, frame decoding, coalesced
-//! vectored writes, reconnect backoff, heartbeats, FD sweeps, and the
-//! grace/gate timers all run as readiness and timer callbacks on one
-//! thread, so the state machine needs no locking at all — the paper's
-//! libev deployment (§5), not a thread per socket.
+//! vectored writes, reconnect backoff, heartbeats, the failure
+//! detector, and the grace/gate timers all run as readiness and timer
+//! callbacks on one thread, so the state machine needs no locking at
+//! all — the paper's libev deployment (§5), not a thread per socket.
 //!
 //! A standalone [`NodeRuntime::start`] owns a single-reactor pool (one
 //! event-loop thread per server process, as deployed in the paper);
@@ -30,12 +30,11 @@
 //! above the high watermark are shed and counted, never stored), and a
 //! timer-driven [`crate::link::BackoffPolicy`] reconnect replays the
 //! buffered tail in order. Inbound (reader) disconnects get the same
-//! grace: suspicion is deferred `link_grace`, and a predecessor
-//! reconnecting under the budget cancels it and feeds
-//! [`crate::heartbeat::AdaptiveTimeout::report_false_suspicion`] so the
-//! FD's timeout adapts — an under-budget link flap causes zero
-//! membership removals. Only an outage exceeding the budget escalates
-//! to the ◇P suspicion path.
+//! grace: the node's [`crate::heartbeat::Detector`] defers suspicion by
+//! `link_grace`, and a predecessor reconnecting under the budget cancels
+//! it and grows the FD's timeout (§3.3.2) — an under-budget link flap
+//! causes zero membership removals. Only an outage exceeding the budget
+//! escalates to a suspicion.
 
 use crate::event_loop::{EventLoopPool, NodeSpec, NodeToken};
 use crate::heartbeat::FdParams;

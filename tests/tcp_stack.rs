@@ -4,12 +4,17 @@
 //! and disconnect detection.
 
 use allconcur::prelude::*;
+use allconcur_core::config::{Config, FdMode};
 use allconcur_graph::binomial::binomial_graph;
+use allconcur_graph::connectivity::vertex_connectivity;
 use allconcur_graph::gs::gs_digraph;
 use allconcur_graph::standard::{complete_digraph, ring_digraph};
+use allconcur_net::codec::write_handshake;
 use allconcur_net::link::LinkStatsSnapshot;
-use allconcur_net::runtime::RuntimeOptions;
+use allconcur_net::runtime::{NodeRuntime, RuntimeOptions};
 use bytes::Bytes;
+use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn payloads(n: usize) -> Vec<Bytes> {
@@ -211,4 +216,60 @@ fn clear_link_faults_heals_a_drop_a_flip_and_a_hold() {
         assert_eq!((stats.corrupt_frames, stats.suspicions), (0, 0), "server {id}: {stats:?}");
     }
     cluster.shutdown().unwrap();
+}
+
+#[test]
+fn forged_handshakes_are_rejected_without_a_suspicion() {
+    // Every server on its own standalone runtime, as `allconcur_node`
+    // deploys them. A stranger connects to server 0 twice, claiming an
+    // id outside the deployment and then an in-range server that is not
+    // one of 0's predecessors, and hangs up. Inbound links only ever
+    // come from predecessors, so both are closed at the handshake: they
+    // start no disconnect grace and never reach the protocol core.
+    let n = 8;
+    let graph = gs_digraph(n, 3).unwrap();
+    let stranger = (1..n as u32).find(|p| !graph.predecessors(0).contains(p)).unwrap();
+    let cfg = Config {
+        resilience: vertex_connectivity(&graph) - 1,
+        graph: Arc::new(graph),
+        fd_mode: FdMode::Perfect,
+        round_window: 1,
+    };
+    let opts = RuntimeOptions::default();
+    let listeners: Vec<TcpListener> =
+        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+    let udps: Vec<UdpSocket> = (0..n).map(|_| UdpSocket::bind("127.0.0.1:0").unwrap()).collect();
+    let tcp_addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let udp_addrs: Vec<_> = udps.iter().map(|u| u.local_addr().unwrap()).collect();
+    let nodes: Vec<_> = listeners
+        .into_iter()
+        .zip(udps)
+        .enumerate()
+        .map(|(id, (listener, udp))| {
+            let (cfg, tcp, udp_addrs) = (cfg.clone(), tcp_addrs.clone(), udp_addrs.clone());
+            NodeRuntime::start(id as u32, cfg, listener, udp, tcp, udp_addrs, opts).unwrap()
+        })
+        .collect();
+
+    for claimed in [999, stranger] {
+        let mut forged = TcpStream::connect(tcp_addrs[0]).unwrap();
+        write_handshake(&mut forged, claimed).unwrap();
+    }
+    std::thread::sleep(2 * opts.link_grace);
+
+    let ps = payloads(n);
+    for ((node, _), p) in nodes.iter().zip(&ps) {
+        assert!(node.broadcast(p.clone()));
+    }
+    for (id, (_, delivered)) in nodes.iter().enumerate() {
+        let batch = delivered.recv_timeout(ROUND_TIMEOUT).unwrap_or_else(|_| {
+            panic!("server {id} delivered nothing after the forged handshakes")
+        });
+        let (_, delivery) = &batch[0];
+        assert_eq!(delivery.messages.len(), n, "server {id}");
+    }
+    for (id, (node, _)) in nodes.into_iter().enumerate() {
+        assert_eq!(node.link_stats().suspicions, 0, "server {id}");
+        node.shutdown();
+    }
 }
